@@ -48,7 +48,6 @@ from .solver import (
     DegreeHistory,
     Solution,
     SolverConfig,
-    eval_solution,
     picard_solve,
     refine_solve,
     solve_dense,
@@ -86,7 +85,6 @@ __all__ = [
     "default_order",
     "dump_problem",
     "error_table",
-    "eval_solution",
     "evaluate",
     "free_vars",
     "gauss_legendre",

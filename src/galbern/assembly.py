@@ -137,9 +137,6 @@ class AffineOffset:
         out = P.polyval(np.asarray(x, dtype=float), c)
         return float(out) if np.isscalar(x) else out
 
-    def __call__(self, x, order=0):
-        return self.value(x, order)
-
 
 def build_offset(bc, domain):
     """Linear interpolant of the endpoint values.
@@ -195,33 +192,35 @@ def _coef_values(e, xs):
 
 
 class _Workspace:
-    """Tables shared by the linear and nonlinear assembly passes."""
+    """One solve's discretization, shared by every assembly pass over it.
+
+    Holds the interior basis tables (orders 0-2) at the quadrature nodes, the
+    members' first derivatives at both ends, and the values of both offsets
+    ('p' and 'q') and their first two derivatives at the nodes.
+    """
 
     def __init__(self, spec, basis, rule, offsets):
         if abs(basis.a - spec.domain[0]) > 1e-12 or abs(basis.b - spec.domain[1]) > 1e-12:
             raise SpecValidationError("basis interval differs from the problem domain")
         self.spec = spec
-        self.basis = basis
-        self.rule = rule
-        self.theta_p, self.theta_q = _offset_or_default(offsets, spec)
-        xs = np.asarray(rule.points)
-        self.xs = xs
+        self.theta = dict(zip("pq", _offset_or_default(offsets, spec)))
+        self.xs = np.asarray(rule.points)
         self.w = np.asarray(rule.weights)
-        self.tables = [basis.interior_table(xs, order) for order in (0, 1, 2)]
-        a, b = spec.domain
-        m = basis.degree - 1
-        self.d1 = {
-            "a": np.array([basis.eval_deriv(j, a, 1) for j in basis.interior_indices()]),
-            "b": np.array([basis.eval_deriv(j, b, 1) for j in basis.interior_indices()]),
+        self.tables = [basis.interior_table(self.xs, order) for order in (0, 1, 2)]
+        ends = basis.interior_table(spec.domain, 1)
+        self.d1 = {"a": ends[:, 0], "b": ends[:, 1]}
+        self.th = {
+            which: tuple(theta.value(self.xs, order) for order in (0, 1, 2))
+            for which, theta in self.theta.items()
         }
-        self.m = m
-
-    def offset_values(self, theta):
-        return tuple(theta.value(self.xs, order) for order in (0, 1, 2))
+        self.m = basis.degree - 1
 
 
-def _equation_blocks(ws, coeffs, forcing, bc, theta_own, theta_cross):
-    """Own block, cross block and load vector for one equation."""
+def _equation_blocks(ws, coeffs, forcing, bc, u, v):
+    """Own block, cross block and load vector for the equation of unknown u.
+
+    u and v are 'p' and 'q' in either order, as in the module docstring.
+    """
     P0, P1, P2 = ws.tables
     w = ws.w
     c1, c2, c3, c4, c5, c6 = (_coef_values(c, ws.xs) for c in coeffs)
@@ -230,8 +229,8 @@ def _equation_blocks(ws, coeffs, forcing, bc, theta_own, theta_cross):
     own += (P0 * (w * c1)) @ P2.T + (P0 * (w * c2)) @ P1.T + (P0 * (w * c3)) @ P0.T
     cross = (P0 * (w * c4)) @ P2.T + (P0 * (w * c5)) @ P1.T + (P0 * (w * c6)) @ P0.T
 
-    th0, th1, th2 = ws.offset_values(theta_own)
-    tc0, tc1, tc2 = ws.offset_values(theta_cross)
+    th0, th1, th2 = ws.th[u]
+    tc0, tc1, tc2 = ws.th[v]
     rhs = P0 @ (w * _coef_values(forcing, ws.xs))
     rhs -= P0 @ (w * (c1 * th2 + c2 * th1 + c3 * th0))
     rhs -= P0 @ (w * (c4 * tc2 + c5 * tc1 + c6 * tc0))
@@ -248,11 +247,11 @@ def _equation_blocks(ws, coeffs, forcing, bc, theta_own, theta_cross):
     s = -1.0 if e == "b" else 1.0
     d = ws.d1[e]
     own += s * np.outer(d, d)
-    rhs -= s * d * theta_own.value(b if e == "b" else a, 1)
+    rhs -= s * d * ws.theta[u].value(b if e == "b" else a, 1)
     return own, cross, rhs
 
 
-def assemble_linear(spec, basis, rule, offsets=None):
+def assemble_linear(spec, basis, rule, offsets=None, *, workspace=None):
     """Build the linear part of the discrete system.
 
     Returns an AssembledSystem whose matrix and rhs are independent of any
@@ -261,12 +260,14 @@ def assemble_linear(spec, basis, rule, offsets=None):
     Args:
         offsets: optional (theta_p, theta_q) overriding the default linear
             interpolants; each must interpolate its endpoint values.
+        workspace: the solve's discretization, when the caller has already
+            built it from these same arguments.
     """
-    ws = _Workspace(spec, basis, rule, offsets)
+    ws = workspace or _Workspace(spec, basis, rule, offsets)
     # coefficient blowups surface via the finiteness check below, not warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        A, H, F = _equation_blocks(ws, spec.p_coeffs, spec.f, spec.bc_p, ws.theta_p, ws.theta_q)
-        C, D, G = _equation_blocks(ws, spec.q_coeffs, spec.g, spec.bc_q, ws.theta_q, ws.theta_p)
+        A, H, F = _equation_blocks(ws, spec.p_coeffs, spec.f, spec.bc_p, "p", "q")
+        C, D, G = _equation_blocks(ws, spec.q_coeffs, spec.g, spec.bc_q, "q", "p")
     K = np.block([[A, H], [D, C]])
     rhs = np.concatenate([F, G])
     if not np.all(np.isfinite(K)):
@@ -278,28 +279,27 @@ def assemble_linear(spec, basis, rule, offsets=None):
     return AssembledSystem(matrix=K, rhs=rhs, size=ws.m)
 
 
-def _trial_values(ws, coeffs, theta):
-    th = ws.offset_values(theta)
-    P0, P1, P2 = ws.tables
+def _trial_values(ws, coeffs, which):
     c = np.asarray(coeffs, dtype=float)
-    return (th[0] + c @ P0, th[1] + c @ P1, th[2] + c @ P2)
+    return tuple(th + c @ table for th, table in zip(ws.th[which], ws.tables))
 
 
-def assemble_nonlinear_rhs(spec, basis, rule, current):
+def assemble_nonlinear_rhs(spec, basis, rule, current, *, workspace=None):
     """Load-vector contribution of the nonlinear terms at a given solution.
 
     Entry i of the block for an equation with nonlinear term M is
     -int M(x, p~, p~', p~'', q~, q~', q~'') B_i dx, with p~, q~ the full
     trial functions of `current` (offsets included).  Zero blocks when the
-    corresponding term is absent.
+    corresponding term is absent.  workspace, when given, is the solve's
+    discretization, built with current's offsets.
     """
-    ws = _Workspace(spec, basis, rule, (current.offset_p, current.offset_q))
+    ws = workspace or _Workspace(spec, basis, rule, (current.offset_p, current.offset_q))
     m = ws.m
     out = np.zeros(2 * m)
     if spec.is_linear:
         return out
-    p0, p1, p2 = _trial_values(ws, current.coeffs_p, current.offset_p)
-    q0, q1, q2 = _trial_values(ws, current.coeffs_q, current.offset_q)
+    p0, p1, p2 = _trial_values(ws, current.coeffs_p, "p")
+    q0, q1, q2 = _trial_values(ws, current.coeffs_q, "q")
     P0 = ws.tables[0]
     for term, sl in ((spec.m1, slice(0, m)), (spec.m2, slice(m, 2 * m))):
         if term is None:
@@ -326,11 +326,12 @@ def residual_norm(spec, sol, basis, rule):
     """Sup-norm of the discrete weighted residual at a solution.
 
     Assembles the same system as assemble_linear (with the solution's own
-    offsets) and evaluates the nonlinear load at the solution itself, so a
-    fixed point of the lagged iteration scores at the linear-solver residual
-    scale.
+    offsets) and evaluates the nonlinear load at the solution itself, over
+    one shared discretization, so a fixed point of the lagged iteration
+    scores at the linear-solver residual scale.
     """
-    system = assemble_linear(spec, basis, rule, (sol.offset_p, sol.offset_q))
+    ws = _Workspace(spec, basis, rule, (sol.offset_p, sol.offset_q))
+    system = assemble_linear(spec, basis, rule, workspace=ws)
     c = np.concatenate([np.asarray(sol.coeffs_p, float), np.asarray(sol.coeffs_q, float)])
-    r = system.matrix @ c - system.rhs - assemble_nonlinear_rhs(spec, basis, rule, sol)
-    return float(np.max(np.abs(r)))
+    nl = assemble_nonlinear_rhs(spec, basis, rule, sol, workspace=ws)
+    return float(np.max(np.abs(system.matrix @ c - system.rhs - nl)))

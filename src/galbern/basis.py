@@ -6,9 +6,17 @@ The degree-n basis over [a, b] is
 
 The interior members i = 1..n-1 vanish at both endpoints, which makes them
 the trial space for two-point problems whose endpoint values are carried by
-a separate offset polynomial.  Derivatives are closed-form (product rule on
-the two power factors), never finite differences, so Galerkin integrands
-built from them stay exact polynomials.
+a separate offset polynomial.  All members are tabulated at once by the
+degree recurrence
+
+    B_{i,m} = s B_{i,m-1} + t B_{i-1,m-1},   t = (x-a)/(b-a), s = (b-x)/(b-a),
+
+and derivatives follow exactly from the identity
+
+    B'_{i,m} = m/(b-a) (B_{i-1,m-1} - B_{i,m-1})
+
+(never finite differences), so Galerkin integrands built from them stay
+exact polynomials.
 """
 
 from dataclasses import dataclass
@@ -21,23 +29,6 @@ MAX_DEGREE = 30
 
 # slack for quadrature nodes that land a round-off outside the interval
 _CLAMP_TOL = 1e-12
-
-
-def _binom(n, i):
-    """Binomial coefficient by the multiplicative formula, in floating point."""
-    i = min(i, n - i)
-    out = 1.0
-    for t in range(1, i + 1):
-        out *= (n - i + t) / t
-    return out
-
-
-def _falling(m, r):
-    """Falling factorial m (m-1) ... (m-r+1); zero when r > m."""
-    out = 1.0
-    for t in range(r):
-        out *= m - t
-    return out
 
 
 @dataclass(frozen=True)
@@ -85,25 +76,30 @@ class BernsteinBasis:
             raise DomainError(f"x = {bad} outside [{a}, {b}]")
         return np.clip(x, a, b)
 
-    def _eval(self, i, x, k):
-        """k-th derivative of member i at x (x validated, k >= 0)."""
+    def _table(self, x, k):
+        """k-th derivatives of all n+1 members at x (validated), k <= n.
+
+        Runs the degree recurrence up to degree n-k, then the derivative
+        identity k times.  Row i holds member i; the trailing axes are x's.
+        """
         n = self.degree
         a, b = self.interval
-        if i < 0 or i > n:
-            return np.zeros_like(x)
-        scale = _binom(n, i) / (b - a) ** n
-        u = x - a
-        v = b - x
-        # d^k/dx^k [u^i v^(n-i)] expanded by the product rule; terms whose
-        # falling factorial vanishes would otherwise raise 0 to a negative power
-        total = np.zeros_like(x)
-        for r in range(k + 1):
-            s = k - r
-            if r > i or s > n - i:
-                continue
-            coef = _binom(k, r) * ((-1.0) ** s) * _falling(i, r) * _falling(n - i, s)
-            total = total + coef * u ** (i - r) * v ** (n - i - s)
-        return scale * total
+        t = (x - a) / (b - a)
+        s = (b - x) / (b - a)
+        zero = np.zeros((1,) + x.shape)
+        table = np.ones((1,) + x.shape)
+        for _ in range(n - k):
+            padded = np.concatenate([zero, table, zero])
+            table = s * padded[1:] + t * padded[:-1]
+        for m in range(n - k + 1, n + 1):
+            padded = np.concatenate([zero, table, zero])
+            table = m / (b - a) * (padded[:-1] - padded[1:])
+        return table
+
+    def _member(self, i, x, k):
+        xv = self._checked(x)
+        out = self._table(xv, k)[i] if 0 <= i <= self.degree else np.zeros_like(xv)
+        return float(out) if np.isscalar(x) or out.ndim == 0 else out
 
     def eval(self, i, x):
         """Value of member i at x; zero for i outside 0..n.
@@ -111,17 +107,13 @@ class BernsteinBasis:
         x may be a scalar or an ndarray inside [a, b] (a 1e-12 overshoot is
         clamped); anything further out raises DomainError.
         """
-        xv = self._checked(x)
-        out = self._eval(i, xv, 0)
-        return float(out) if np.isscalar(x) or out.ndim == 0 else out
+        return self._member(i, x, 0)
 
     def eval_deriv(self, i, x, order):
         """Exact derivative of member i at x, order in {1, 2, 3}."""
         if order not in (1, 2, 3):
             raise ValueError(f"derivative order must be 1, 2 or 3, got {order!r}")
-        xv = self._checked(x)
-        out = self._eval(i, xv, order)
-        return float(out) if np.isscalar(x) or out.ndim == 0 else out
+        return self._member(i, x, order)
 
     def interior_table(self, x, order=0):
         """Matrix of interior members at the points x.
@@ -131,4 +123,4 @@ class BernsteinBasis:
         all quadrature nodes at once.
         """
         xv = self._checked(np.atleast_1d(x))
-        return np.array([self._eval(j, xv, order) for j in self.interior_indices()])
+        return self._table(xv, order)[1:-1]

@@ -305,8 +305,8 @@ def error_table(spec, sol):
     xs = sample_points(spec.domain)
     p_exact = [ex.evaluate(spec.exact_p, ex.PointState(x=x)) for x in xs]
     q_exact = [ex.evaluate(spec.exact_q, ex.PointState(x=x)) for x in xs]
-    p_approx = [sol.evaluate(x, "p") for x in xs]
-    q_approx = [sol.evaluate(x, "q") for x in xs]
+    p_approx = sol.evaluate(xs, "p").tolist()
+    q_approx = sol.evaluate(xs, "q").tolist()
     return ErrorTable(xs, p_exact, p_approx, q_exact, q_approx)
 
 
@@ -346,16 +346,17 @@ def format_csv(table):
 def format_samples(sol, domain, as_csv=False):
     """Fallback report when no exact solution is available."""
     xs = sample_points(domain)
+    rows = list(zip(xs, sol.evaluate(xs, "p").tolist(), sol.evaluate(xs, "q").tolist()))
     if as_csv:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["x", "p_approx", "q_approx"])
-        for x in xs:
-            writer.writerow([repr(x), repr(sol.evaluate(x, "p")), repr(sol.evaluate(x, "q"))])
+        for x, p, q in rows:
+            writer.writerow([repr(x), repr(p), repr(q)])
         return buf.getvalue()
     lines = [f"{'x':>6} {'p approx':>18} {'q approx':>18}"]
-    for x in xs:
-        lines.append(f"{x:6.2f} {sol.evaluate(x, 'p'):18.10f} {sol.evaluate(x, 'q'):18.10f}")
+    for x, p, q in rows:
+        lines.append(f"{x:6.2f} {p:18.10f} {q:18.10f}")
     return "\n".join(lines) + "\n"
 
 

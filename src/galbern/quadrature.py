@@ -1,12 +1,13 @@
 """Gauss-Legendre quadrature on [a, b].
 
-Nodes are the roots of the Legendre polynomial P_G, found by Newton iteration
-from the usual cosine initial guesses and polished to 1e-15; weights follow
-from w = 2 / ((1 - t^2) P_G'(t)^2).  A G-point rule integrates polynomials of
-degree <= 2G - 1 exactly, which is what the Galerkin assembly relies on.
+Nodes and weights on [-1, 1] come from numpy.polynomial.legendre.leggauss,
+computed once per order and mapped affinely to [a, b].  A G-point rule
+integrates polynomials of degree <= 2G - 1 exactly, which is what the
+Galerkin assembly relies on.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -32,14 +33,13 @@ class QuadratureRule:
         self.weights.setflags(write=False)
 
 
-def _legendre_and_deriv(G, t):
-    """P_G(t) and P_G'(t) via the three-term recurrence, vectorized in t."""
-    p_prev = np.zeros_like(t)
-    p = np.ones_like(t)
-    for k in range(1, G + 1):
-        p_prev, p = p, ((2 * k - 1) * t * p - (k - 1) * p_prev) / k
-    dp = G * (t * p - p_prev) / (t * t - 1.0)
-    return p, dp
+@lru_cache(maxsize=None)  # bounded by MAX_ORDER distinct orders
+def _reference_rule(G):
+    """Read-only G-point nodes and weights on [-1, 1]."""
+    t, w = np.polynomial.legendre.leggauss(G)
+    t.setflags(write=False)
+    w.setflags(write=False)
+    return t, w
 
 
 def gauss_legendre(G, a, b):
@@ -60,29 +60,7 @@ def gauss_legendre(G, a, b):
     if not b > a:
         raise ValueError(f"interval must satisfy a < b, got ({a}, {b})")
 
-    if G == 1:
-        t = np.array([0.0])
-        w = np.array([2.0])
-    else:
-        # roots in (0, 1]; the rest follow by symmetry
-        k = np.arange(G // 2)
-        t = np.cos(np.pi * (k + 0.75) / (G + 0.5))
-        for _ in range(100):
-            p, dp = _legendre_and_deriv(G, t)
-            dt = p / dp
-            t = t - dt
-            if np.max(np.abs(dt)) < 1e-15:
-                break
-        _, dp = _legendre_and_deriv(G, t)
-        w_half = 2.0 / ((1.0 - t * t) * dp * dp)
-        if G % 2:
-            p0, dp0 = _legendre_and_deriv(G, np.array([0.0]))
-            t = np.concatenate([-t, [0.0], t[::-1]])
-            w = np.concatenate([w_half, 2.0 / (dp0 * dp0), w_half[::-1]])
-        else:
-            t = np.concatenate([-t, t[::-1]])
-            w = np.concatenate([w_half, w_half[::-1]])
-
+    t, w = _reference_rule(G)
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
     return QuadratureRule(points=mid + half * t, weights=half * w, order=G)

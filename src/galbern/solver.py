@@ -3,16 +3,18 @@
 A solve proceeds in two stages.  The bootstrap drops the nonlinear terms and
 solves the purely linear system once; every later iteration re-solves the
 same matrix against the linear load plus the nonlinear load evaluated on the
-previous iterate.  Successive iterates are compared in the sup norm on a
-uniform evaluation grid, and the same measure compares solutions of
-consecutive degrees in a refinement sweep.
+previous iterate.  The discretization (basis tables, offset values) is built
+once per solve and the matrix is LU-factorized once; each iteration only
+re-evaluates the load and runs the two triangular solves.  Successive
+iterates are compared in the sup norm on a uniform evaluation grid, and the
+same measure compares solutions of consecutive degrees in a refinement sweep.
 """
 
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .assembly import assemble_linear, assemble_nonlinear_rhs, build_offset
+from .assembly import _Workspace, assemble_linear, assemble_nonlinear_rhs
 from .basis import BernsteinBasis
 from .errors import DivergenceError, NonConvergenceError, SingularSystemError
 from .quadrature import default_order, gauss_legendre
@@ -91,11 +93,6 @@ class Solution:
         return float(out[0]) if np.isscalar(x) else out
 
 
-def eval_solution(sol, x, which="p", order=0):
-    """Functional form of Solution.evaluate."""
-    return sol.evaluate(x, which=which, order=order)
-
-
 @dataclass(frozen=True)
 class DegreeHistory:
     """Per-degree record of a refinement sweep.
@@ -107,6 +104,50 @@ class DegreeHistory:
     degrees: list
     distances: list
     converged: bool
+
+
+def _lu_factor(A0):
+    """LU factors of the square matrix A0 by partial pivoting.
+
+    Returns (A0, LU, perm): the matrix itself, for refinement, its unit-lower
+    and upper factors packed in one array, and the row permutation.
+
+    Raises:
+        SingularSystemError: a pivot fell below 1e-13 * max|A0|.
+    """
+    n = A0.shape[0]
+    threshold = _PIVOT_RTOL * max(np.max(np.abs(A0)), np.finfo(float).tiny)
+    A = A0.copy()
+    perm = np.arange(n)
+    for k in range(n):
+        piv = k + int(np.argmax(np.abs(A[k:, k])))
+        if abs(A[piv, k]) < threshold:
+            raise SingularSystemError(k, abs(A[piv, k]))
+        if piv != k:
+            A[[k, piv]] = A[[piv, k]]
+            perm[[k, piv]] = perm[[piv, k]]
+        A[k + 1 :, k] /= A[k, k]
+        A[k + 1 :, k + 1 :] -= np.outer(A[k + 1 :, k], A[k, k + 1 :])
+    return A0, A, perm
+
+
+def _lu_solve(factors, b0):
+    """Solve with the factors of _lu_factor plus one step of refinement."""
+    A0, A, perm = factors
+    n = A.shape[0]
+
+    def substitute(rhs_vec):
+        y = rhs_vec[perm].copy()
+        for k in range(1, n):
+            y[k] -= A[k, :k] @ y[:k]
+        x = y
+        for k in range(n - 1, -1, -1):
+            x[k] = (x[k] - A[k, k + 1 :] @ x[k + 1 :]) / A[k, k]
+        return x
+
+    x = substitute(b0)
+    x += substitute(b0 - A0 @ x)
+    return x
 
 
 def solve_dense(K, rhs):
@@ -123,36 +164,7 @@ def solve_dense(K, rhs):
     n = A0.shape[0]
     if A0.shape != (n, n) or b0.shape != (n,):
         raise ValueError(f"shape mismatch: matrix {A0.shape}, rhs {b0.shape}")
-    threshold = _PIVOT_RTOL * max(np.max(np.abs(A0)), np.finfo(float).tiny)
-
-    A = A0.copy()
-    perm = np.arange(n)
-    for k in range(n):
-        piv = k + int(np.argmax(np.abs(A[k:, k])))
-        if abs(A[piv, k]) < threshold:
-            raise SingularSystemError(k, abs(A[piv, k]))
-        if piv != k:
-            A[[k, piv]] = A[[piv, k]]
-            perm[[k, piv]] = perm[[piv, k]]
-        A[k + 1 :, k] /= A[k, k]
-        A[k + 1 :, k + 1 :] -= np.outer(A[k + 1 :, k], A[k, k + 1 :])
-
-    def lu_solve(rhs_vec):
-        y = rhs_vec[perm].copy()
-        for k in range(1, n):
-            y[k] -= A[k, :k] @ y[:k]
-        x = y
-        for k in range(n - 1, -1, -1):
-            x[k] = (x[k] - A[k, k + 1 :] @ x[k + 1 :]) / A[k, k]
-        return x
-
-    x = lu_solve(b0)
-    x += lu_solve(b0 - A0 @ x)
-    return x
-
-
-def _grid_values(sol, grid):
-    return sol.evaluate(grid, "p"), sol.evaluate(grid, "q")
+    return _lu_solve(_lu_factor(A0), b0)
 
 
 def picard_solve(spec, degree, config=None, offsets=None):
@@ -176,36 +188,35 @@ def picard_solve(spec, degree, config=None, offsets=None):
     a, b = spec.domain
     basis = BernsteinBasis(degree, (a, b))
     rule = gauss_legendre(config.quad_order or default_order(degree), a, b)
-    if offsets is None:
-        offsets = (build_offset(spec.bc_p, spec.domain), build_offset(spec.bc_q, spec.domain))
-    theta_p, theta_q = offsets
+    ws = _Workspace(spec, basis, rule, offsets)
 
-    system = assemble_linear(spec, basis, rule, offsets)
+    system = assemble_linear(spec, basis, rule, workspace=ws)
     m = system.size
-    c = solve_dense(system.matrix, system.rhs)
+    factors = _lu_factor(system.matrix)
+    c = _lu_solve(factors, system.rhs)
     sol = Solution(
-        basis=basis, offset_p=theta_p, offset_q=theta_q,
+        basis=basis, offset_p=ws.theta["p"], offset_q=ws.theta["q"],
         coeffs_p=c[:m], coeffs_q=c[m:], iterations_used=0,
         converged=spec.is_linear,
     )
     if spec.is_linear or config.fixed_iters == 0:
         return sol
 
+    # grid values of both unknowns as one 2 x P array, from one table
     grid = np.linspace(a, b, config.grid_points)
-    prev_vals = _grid_values(sol, grid)
+    grid_table = basis.interior_table(grid)
+    grid_offsets = np.array([ws.theta[u].value(grid) for u in "pq"])
+    prev_vals = grid_offsets + c.reshape(2, m) @ grid_table
     target = config.fixed_iters if config.fixed_iters is not None else config.max_picard_iters
     distances = []
     for k in range(1, target + 1):
-        nl = assemble_nonlinear_rhs(spec, basis, rule, sol)
-        c = solve_dense(system.matrix, system.rhs + nl)
+        nl = assemble_nonlinear_rhs(spec, basis, rule, sol, workspace=ws)
+        c = _lu_solve(factors, system.rhs + nl)
         if not np.all(np.isfinite(c)):
             raise DivergenceError(k, "iterate became non-finite")
         sol = replace(sol, coeffs_p=c[:m], coeffs_q=c[m:], iterations_used=k)
-        vals = _grid_values(sol, grid)
-        dist = max(
-            float(np.max(np.abs(vals[0] - prev_vals[0]))),
-            float(np.max(np.abs(vals[1] - prev_vals[1]))),
-        )
+        vals = grid_offsets + c.reshape(2, m) @ grid_table
+        dist = float(np.max(np.abs(vals - prev_vals)))
         prev_vals = vals
         distances.append(dist)
         if not np.isfinite(dist):
@@ -238,15 +249,12 @@ def refine_solve(spec, config=None):
     prev_sol = prev_vals = None
     for degree in range(config.min_degree, config.max_degree + 1):
         sol = picard_solve(spec, degree, config)
-        vals = _grid_values(sol, grid)
+        vals = np.array([sol.evaluate(grid, "p"), sol.evaluate(grid, "q")])
         degrees.append(degree)
         if prev_sol is None:
             distances.append(None)
         else:
-            dist = max(
-                float(np.max(np.abs(vals[0] - prev_vals[0]))),
-                float(np.max(np.abs(vals[1] - prev_vals[1]))),
-            )
+            dist = float(np.max(np.abs(vals - prev_vals)))
             distances.append(dist)
             if dist < config.degree_tol:
                 return sol, DegreeHistory(degrees, distances, converged=True)

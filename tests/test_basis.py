@@ -44,7 +44,7 @@ class TestEval:
         assert UNIT.eval(1, 1.0 + 1e-13) == UNIT.eval(1, 1.0)
         assert UNIT.eval(1, -1e-13) == UNIT.eval(1, 0.0)
 
-    @pytest.mark.parametrize("n,i", [(3, 1), (4, 2), (6, 5), (9, 4)])
+    @pytest.mark.parametrize("n,i", [(3, 1), (4, 2), (6, 5), (9, 4), (20, 7), (30, 15)])
     def test_matches_symbolic_form(self, n, i):
         a, b = -1.5, 2.25
         basis = BernsteinBasis(n, (a, b))
@@ -76,7 +76,10 @@ class TestDerivatives:
             with pytest.raises(ValueError):
                 UNIT.eval_deriv(1, 0.5, order)
 
-    @pytest.mark.parametrize("n,i,order", [(3, 2, 1), (5, 3, 2), (7, 4, 3), (4, 1, 3)])
+    @pytest.mark.parametrize(
+        "n,i,order",
+        [(3, 2, 1), (5, 3, 2), (7, 4, 3), (4, 1, 3), (20, 7, 2), (30, 1, 1), (30, 15, 3)],
+    )
     def test_matches_symbolic_derivative(self, n, i, order):
         a, b = 0.5, 3.0
         basis = BernsteinBasis(n, (a, b))
@@ -105,6 +108,19 @@ class TestDerivatives:
             d3 = basis.eval_deriv(i, xs, 3)
             fd3 = (basis.eval_deriv(i, xs + h, 2) - basis.eval_deriv(i, xs - h, 2)) / (2 * h)
             assert np.allclose(fd3, d3, rtol=1e-6, atol=1e-6 * np.max(np.abs(d3)))
+
+
+class TestInteriorTable:
+    @pytest.mark.parametrize("order", [0, 1, 2, 3])
+    def test_rows_match_members(self, order):
+        basis = BernsteinBasis(12, (-0.75, 2.5))
+        xs = np.linspace(-0.75, 2.5, 17)
+        table = basis.interior_table(xs, order)
+        assert table.shape == (11, 17)
+        for j in basis.interior_indices():
+            member = basis.eval(j, xs) if order == 0 else basis.eval_deriv(j, xs, order)
+            scale = np.max(np.abs(member))
+            np.testing.assert_allclose(table[j - 1], member, rtol=1e-13, atol=1e-13 * scale)
 
 
 class TestInteriorIndices:

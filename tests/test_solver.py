@@ -9,7 +9,6 @@ from galbern import (
     ProblemSpec,
     SingularSystemError,
     SolverConfig,
-    eval_solution,
     picard_solve,
     refine_solve,
     solve_dense,
@@ -236,32 +235,32 @@ class TestPicardSolve:
 class TestEvalSolution:
     def test_boundary_value(self):
         sol = picard_solve(preset("example1"), 3)
-        assert eval_solution(sol, 0.0, "p") == pytest.approx(0.0, abs=1e-13)
+        assert sol.evaluate(0.0, "p") == pytest.approx(0.0, abs=1e-13)
 
     def test_example2_interior_value(self):
         spec = preset("example2")
         sol = picard_solve(spec, 3)
-        err = abs(0.0625 - eval_solution(sol, 0.5, "p"))
+        err = abs(0.0625 - sol.evaluate(0.5, "p"))
         assert err == pytest.approx(5.929053e-3, rel=0.05)
 
     def test_example2_right_boundary(self):
         sol = picard_solve(preset("example2"), 3)
-        assert eval_solution(sol, 1.0, "p") == pytest.approx(1.0, abs=1e-7)
+        assert sol.evaluate(1.0, "p") == pytest.approx(1.0, abs=1e-7)
 
     def test_derivative_orders(self):
         spec = preset("example2")
         sol = picard_solve(spec, 4)  # exact solutions x^4 and x^3 in space
-        assert eval_solution(sol, 0.5, "p", order=1) == pytest.approx(4 * 0.5**3, abs=1e-8)
-        assert eval_solution(sol, 0.5, "q", order=2) == pytest.approx(6 * 0.5, abs=1e-7)
+        assert sol.evaluate(0.5, "p", order=1) == pytest.approx(4 * 0.5**3, abs=1e-8)
+        assert sol.evaluate(0.5, "q", order=2) == pytest.approx(6 * 0.5, abs=1e-7)
 
     def test_domain_and_argument_errors(self):
         sol = picard_solve(preset("example1"), 3)
         with pytest.raises(gb.DomainError):
-            eval_solution(sol, 1.5, "p")
+            sol.evaluate(1.5, "p")
         with pytest.raises(ValueError):
-            eval_solution(sol, 0.5, "r")
+            sol.evaluate(0.5, "r")
         with pytest.raises(ValueError):
-            eval_solution(sol, 0.5, "p", order=3)
+            sol.evaluate(0.5, "p", order=3)
 
     def test_coefficients_are_frozen(self):
         sol = picard_solve(preset("example1"), 3)
