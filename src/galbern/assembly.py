@@ -188,7 +188,7 @@ class AssembledSystem:
 def _coef_values(e, xs):
     if e is None:
         return np.zeros_like(xs)
-    return np.array([ex.evaluate(e, ex.PointState(x=float(xk))) for xk in xs])
+    return ex.evaluate(e, ex.PointState(x=xs))
 
 
 class _Workspace:
@@ -300,22 +300,12 @@ def assemble_nonlinear_rhs(spec, basis, rule, current, *, workspace=None):
         return out
     p0, p1, p2 = _trial_values(ws, current.coeffs_p, "p")
     q0, q1, q2 = _trial_values(ws, current.coeffs_q, "q")
+    state = ex.PointState(x=ws.xs, p=p0, dp=p1, d2p=p2, q=q0, dq=q1, d2q=q2)
     P0 = ws.tables[0]
     for term, sl in ((spec.m1, slice(0, m)), (spec.m2, slice(m, 2 * m))):
         if term is None:
             continue
-        mv = np.array(
-            [
-                ex.evaluate(
-                    term,
-                    ex.PointState(
-                        x=float(xk), p=p0[k], dp=p1[k], d2p=p2[k],
-                        q=q0[k], dq=q1[k], d2q=q2[k],
-                    ),
-                )
-                for k, xk in enumerate(ws.xs)
-            ]
-        )
+        mv = ex.evaluate(term, state)
         # divergent iterates may overflow here; the solver checks finiteness
         with np.errstate(over="ignore", invalid="ignore"):
             out[sl] = -(P0 @ (ws.w * mv))

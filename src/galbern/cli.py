@@ -22,6 +22,8 @@ import math
 import re
 import sys
 
+import numpy as np
+
 from . import expr as ex
 from .assembly import BoundaryData, ProblemSpec, residual_norm
 from .errors import ExprSyntaxError, GalbernError, ProblemFileError
@@ -303,8 +305,9 @@ def error_table(spec, sol):
     if spec.exact_p is None or spec.exact_q is None:
         raise ValueError("error_table requires both [exact] expressions")
     xs = sample_points(spec.domain)
-    p_exact = [ex.evaluate(spec.exact_p, ex.PointState(x=x)) for x in xs]
-    q_exact = [ex.evaluate(spec.exact_q, ex.PointState(x=x)) for x in xs]
+    state = ex.PointState(x=np.array(xs))
+    p_exact = ex.evaluate(spec.exact_p, state).tolist()
+    q_exact = ex.evaluate(spec.exact_q, state).tolist()
     p_approx = sol.evaluate(xs, "p").tolist()
     q_approx = sol.evaluate(xs, "q").tolist()
     return ErrorTable(xs, p_exact, p_approx, q_exact, q_approx)

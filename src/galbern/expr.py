@@ -10,16 +10,26 @@ in order of increasing precedence:
     power   :=  primary ('^' ['-'] number)?
     primary :=  number | variable | function '(' expr ')' | '(' expr ')'
 
-Functions: exp, sin, cos, ln, sqrt.  Whitespace is insignificant.  Exponents
-must be numeric literals, so -x^2 means -(x^2) and polynomial sources stay
-polynomials; small integer exponents are evaluated by repeated multiplication
-for exactness.
+Functions: exp, sin, cos, ln, sqrt.  Whitespace is insignificant.  Numeric
+literals must be finite.  Exponents must be numeric literals, so -x^2 means
+-(x^2) and polynomial sources stay polynomials; small integer exponents are
+evaluated by repeated multiplication for exactness.
+
+Evaluation is vectorized: the variables of a PointState may be floats or
+equal-length arrays, and one walk of the tree does one numpy operation per
+node over all points at once.  Division by zero, ln or sqrt outside their
+domain, sin or cos of an infinite value, overflow in exp or ^, and a
+non-integer power of a negative base are faults: evaluation raises
+ExprEvalError carrying the first offending abscissa, the same error that
+evaluating the points one at a time would raise first.
 """
 
 import math
 import re
 from dataclasses import dataclass
 from typing import Union
+
+import numpy as np
 
 from .errors import ExprEvalError, ExprSyntaxError
 
@@ -69,7 +79,10 @@ Expr = Union[Num, Var, Neg, BinOp, Pow, Call]
 
 @dataclass(frozen=True)
 class PointState:
-    """Values of the seven variables at one abscissa."""
+    """Values of the seven variables at one abscissa, or at many.
+
+    Each field is a float or a 1-d array; arrays share one length.
+    """
 
     x: float = 0.0
     p: float = 0.0
@@ -169,16 +182,23 @@ class _Parser:
         if self.at_op("-"):
             self.advance()
             sign = -1.0
-        kind, text, pos = self.peek()
+        kind, _, pos = self.peek()
         if kind != "num":
             raise ExprSyntaxError("exponent must be a numeric literal", pos)
-        self.advance()
-        return Pow(base, sign * float(text))
+        return Pow(base, sign * self.number())
+
+    def number(self):
+        _, text, pos = self.advance()
+        value = float(text)
+        if not math.isfinite(value):
+            raise ExprSyntaxError(f"numeric literal {text} is not finite", pos)
+        return value
 
     def primary(self):
-        kind, text, pos = self.advance()
+        kind, text, pos = self.peek()
         if kind == "num":
-            return Num(float(text))
+            return Num(self.number())
+        self.advance()
         if kind == "ident":
             if text in VARIABLES:
                 return Var(text)
@@ -201,69 +221,94 @@ def parse(source):
     return _Parser(source).parse()
 
 
-def _pow(base, exponent, x):
-    n = int(exponent)
-    if exponent == n and abs(n) <= _POW_UNROLL:
+# function name -> (numpy function, fault mask from argument and value, message)
+_CALLS = {
+    "exp": (np.exp, lambda v, out: np.isinf(out) & np.isfinite(v), "exp({}) overflows"),
+    "sin": (np.sin, lambda v, out: np.isinf(v), "sin of non-finite value {}"),
+    "cos": (np.cos, lambda v, out: np.isinf(v), "cos of non-finite value {}"),
+    "ln": (np.log, lambda v, out: v <= 0.0, "ln of non-positive value {}"),
+    "sqrt": (np.sqrt, lambda v, out: v < 0.0, "sqrt of negative value {}"),
+}
+
+_BINOPS = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide}
+
+
+def _fault(faults, mask, message, operand):
+    """Record the points where mask holds; message is formatted with operand."""
+    if np.any(mask):
+        faults.append((mask, message, operand))
+
+
+def _pow(base, exponent, faults):
+    if float(exponent).is_integer() and abs(exponent) <= _POW_UNROLL:
+        n = int(exponent)
         out = 1.0
         for _ in range(abs(n)):
-            out *= base
+            out = out * base
         if n < 0:
-            if out == 0.0:
-                raise ExprEvalError("zero raised to a negative power", x)
+            _fault(faults, out == 0.0, "zero raised to a negative power", base)
             out = 1.0 / out
+    else:
+        out = np.power(base, exponent)
+        undefined = (np.isnan(out) & ~np.isnan(base)) | ((base == 0.0) & (exponent < 0))
+        _fault(faults, undefined, f"{{}} ^ {exponent} is undefined", base)
+    _fault(faults, np.isinf(out) & np.isfinite(base), f"{{}} ^ {exponent} overflows", base)
+    return out
+
+
+def _eval(e, env, faults):
+    """One numpy operation per node; faulting points are recorded, not raised."""
+    if isinstance(e, Num):
+        return np.float64(e.value)
+    if isinstance(e, Var):
+        return env[e.name]
+    if isinstance(e, Neg):
+        return -_eval(e.operand, env, faults)
+    if isinstance(e, Pow):
+        return _pow(_eval(e.base, env, faults), e.exponent, faults)
+    if isinstance(e, Call):
+        func, faulty, message = _CALLS[e.func]
+        v = _eval(e.arg, env, faults)
+        out = func(v)
+        _fault(faults, faulty(v, out), message, v)
         return out
-    try:
-        return math.pow(base, exponent)
-    except (ValueError, OverflowError) as err:
-        raise ExprEvalError(f"{base} ^ {exponent}: {err}", x) from err
+    if isinstance(e, BinOp):
+        lhs = _eval(e.left, env, faults)
+        rhs = _eval(e.right, env, faults)
+        if e.op == "/":
+            _fault(faults, rhs == 0.0, "division by zero", rhs)
+        return _BINOPS[e.op](lhs, rhs)
+    raise TypeError(f"not an expression node: {e!r}")
+
+
+def _first_fault(faults, x, shape):
+    """The error for the lowest faulting index and the first fault met there."""
+    masks = [np.broadcast_to(mask, shape).ravel() for mask, _, _ in faults]
+    k = min(int(np.argmax(mask)) for mask in masks)
+    _, message, operand = next(f for f, mask in zip(faults, masks) if mask[k])
+    operand, x = (float(np.broadcast_to(v, shape).ravel()[k]) for v in (operand, x))
+    return ExprEvalError(message.format(operand), x)
 
 
 def evaluate(e, state):
-    """Evaluate an AST at a PointState; arithmetic faults raise ExprEvalError."""
-    x = state.x
-    if isinstance(e, Num):
-        return e.value
-    if isinstance(e, Var):
-        return getattr(state, e.name)
-    if isinstance(e, Neg):
-        return -evaluate(e.operand, state)
-    if isinstance(e, Pow):
-        return _pow(evaluate(e.base, state), e.exponent, x)
-    if isinstance(e, Call):
-        v = evaluate(e.arg, state)
-        if e.func == "exp":
-            try:
-                return math.exp(v)
-            except OverflowError as err:
-                raise ExprEvalError(f"exp({v}) overflows", x) from err
-        if e.func == "sin":
-            return math.sin(v)
-        if e.func == "cos":
-            return math.cos(v)
-        if e.func == "ln":
-            if v <= 0.0:
-                raise ExprEvalError(f"ln of non-positive value {v}", x)
-            return math.log(v)
-        if e.func == "sqrt":
-            if v < 0.0:
-                raise ExprEvalError(f"sqrt of negative value {v}", x)
-            return math.sqrt(v)
-        raise ExprEvalError(f"unknown function {e.func!r}", x)
-    if isinstance(e, BinOp):
-        lhs = evaluate(e.left, state)
-        rhs = evaluate(e.right, state)
-        if e.op == "+":
-            return lhs + rhs
-        if e.op == "-":
-            return lhs - rhs
-        if e.op == "*":
-            return lhs * rhs
-        if e.op == "/":
-            if rhs == 0.0:
-                raise ExprEvalError("division by zero", x)
-            return lhs / rhs
-        raise ExprEvalError(f"unknown operator {e.op!r}", x)
-    raise TypeError(f"not an expression node: {e!r}")
+    """Evaluate an AST at a PointState; arithmetic faults raise ExprEvalError.
+
+    The state's fields are floats or equal-length 1-d arrays.  A state of
+    floats gives a float; otherwise the result is an array of that length,
+    with constant expressions broadcast.  When several points fault, the
+    error carries the first faulting abscissa in array order and the first
+    fault met at that point, exactly as evaluating the points one at a time.
+    """
+    env = {name: np.asarray(getattr(state, name), dtype=float) for name in VARIABLES}
+    shape = np.broadcast_shapes(*(v.shape for v in env.values()))
+    faults = []
+    with np.errstate(all="ignore"):
+        out = _eval(e, env, faults)
+    if faults:
+        raise _first_fault(faults, env["x"], shape)
+    if shape == ():
+        return float(out)
+    return np.broadcast_to(out, shape).copy()
 
 
 def free_vars(e):

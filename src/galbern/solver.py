@@ -4,10 +4,12 @@ A solve proceeds in two stages.  The bootstrap drops the nonlinear terms and
 solves the purely linear system once; every later iteration re-solves the
 same matrix against the linear load plus the nonlinear load evaluated on the
 previous iterate.  The discretization (basis tables, offset values) is built
-once per solve and the matrix is LU-factorized once; each iteration only
-re-evaluates the load and runs the two triangular solves.  Successive
-iterates are compared in the sup norm on a uniform evaluation grid, and the
-same measure compares solutions of consecutive degrees in a refinement sweep.
+once per solve, and the matrix is LU-factorized once by a hand-written
+pivoted elimination that refuses negligible pivots.  Each iteration then
+costs one vectorized expression evaluation per nonlinear term and LAPACK
+triangular substitutions on those factors.  Successive iterates are compared
+in the sup norm on a uniform evaluation grid, and the same measure compares
+solutions of consecutive degrees in a refinement sweep.
 """
 
 from dataclasses import dataclass, replace
@@ -109,8 +111,9 @@ class DegreeHistory:
 def _lu_factor(A0):
     """LU factors of the square matrix A0 by partial pivoting.
 
-    Returns (A0, LU, perm): the matrix itself, for refinement, its unit-lower
-    and upper factors packed in one array, and the row permutation.
+    Returns (A0, L, U, perm): the matrix itself, for refinement, its
+    unit-lower and upper factors as dense arrays, and the row permutation,
+    so that A0[perm] = L @ U.
 
     Raises:
         SingularSystemError: a pivot fell below 1e-13 * max|A0|.
@@ -128,22 +131,22 @@ def _lu_factor(A0):
             perm[[k, piv]] = perm[[piv, k]]
         A[k + 1 :, k] /= A[k, k]
         A[k + 1 :, k + 1 :] -= np.outer(A[k + 1 :, k], A[k, k + 1 :])
-    return A0, A, perm
+    L = np.tril(A, -1)
+    np.fill_diagonal(L, 1.0)
+    return A0, L, np.triu(A), perm
 
 
 def _lu_solve(factors, b0):
-    """Solve with the factors of _lu_factor plus one step of refinement."""
-    A0, A, perm = factors
-    n = A.shape[0]
+    """Solve with the factors of _lu_factor plus one step of refinement.
+
+    Each np.linalg.solve call is a plain triangular substitution: LAPACK's
+    partial pivoting swaps no rows of L (unit diagonal, |L_ik| <= 1) or of U
+    (zeros below the diagonal), and its elimination leaves them unchanged.
+    """
+    A0, L, U, perm = factors
 
     def substitute(rhs_vec):
-        y = rhs_vec[perm].copy()
-        for k in range(1, n):
-            y[k] -= A[k, :k] @ y[:k]
-        x = y
-        for k in range(n - 1, -1, -1):
-            x[k] = (x[k] - A[k, k + 1 :] @ x[k + 1 :]) / A[k, k]
-        return x
+        return np.linalg.solve(U, np.linalg.solve(L, rhs_vec[perm]))
 
     x = substitute(b0)
     x += substitute(b0 - A0 @ x)

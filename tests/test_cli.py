@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -388,3 +391,15 @@ class TestRunReduce:
         xs = np.linspace(0, 1, 101)
         exact = (1 - xs) * np.exp(xs)
         assert np.max(np.abs(exact - sol.evaluate(xs, "p"))) <= 4e-5
+
+
+class TestModuleEntryPoint:
+    def test_python_dash_m_galbern_runs_without_warnings(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "galbern", "--help"],
+            env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        assert "solve" in proc.stdout and not proc.stderr

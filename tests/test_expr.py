@@ -1,9 +1,15 @@
 import math
+import operator
+import sys
 
+import numpy as np
 import pytest
+import sympy as sp
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from galbern import ExprEvalError, ExprSyntaxError, PointState, evaluate, free_vars, parse, to_source
-from galbern.expr import BinOp, Call, Neg, Num, Pow, Var
+from galbern.expr import FUNCTIONS, VARIABLES, BinOp, Call, Neg, Num, Pow, Var
 
 
 def ev(source, **state):
@@ -86,6 +92,47 @@ class TestEvaluate:
             ev("p / (x - 1)", x=1.0, p=2.0)
         assert info.value.x == 1.0
 
+    def test_sin_cos_of_non_finite_value(self):
+        for source in ("sin(x)", "cos(x)", "sin(2 * x)"):
+            with pytest.raises(ExprEvalError) as info:
+                ev(source, x=math.inf)
+            assert info.value.x == math.inf
+            with pytest.raises(ExprEvalError) as info:
+                ev(source, x=np.array([0.0, 1.0, -math.inf, math.inf]))
+            assert info.value.x == -math.inf
+
+    def test_sin_of_nan_is_nan(self):
+        assert math.isnan(ev("sin(x)", x=math.nan))
+
+
+class TestArrayEvaluate:
+    def test_scalar_state_gives_float(self):
+        assert type(ev("x^2 + p", x=3.0, p=np.float64(1.0))) is float
+
+    def test_array_state_gives_array_of_its_length(self):
+        xs = np.array([0.0, 0.5, 2.0])
+        np.testing.assert_array_equal(ev("x^2 + 1", x=xs), [1.0, 1.25, 5.0])
+        np.testing.assert_array_equal(ev("2.5", x=xs), [2.5, 2.5, 2.5])
+        np.testing.assert_array_equal(ev("p", x=xs), [0.0, 0.0, 0.0])
+
+    def test_result_does_not_alias_the_state(self):
+        xs = np.array([1.0, 2.0])
+        out = ev("x", x=xs)
+        out[0] = 7.0
+        assert xs[0] == 1.0
+
+    def test_first_abscissa_wins_over_first_node(self):
+        # ln faults at x = -1 first in tree order, but x = 0.5 comes first
+        with pytest.raises(ExprEvalError) as info:
+            ev("ln(x) + 1 / (x - 0.5)", x=np.array([1.0, 0.5, -1.0]))
+        assert info.value.x == 0.5
+        assert "division by zero" in str(info.value)
+
+    def test_first_fault_at_a_point_wins(self):
+        with pytest.raises(ExprEvalError) as info:
+            ev("ln(x) + 1 / x", x=np.array([1.0, 0.0]))
+        assert "ln of non-positive value" in str(info.value)
+
 
 class TestFreeVars:
     def test_single(self):
@@ -146,6 +193,13 @@ class TestErrors:
         with pytest.raises(ExprSyntaxError):
             parse("")
 
+    @pytest.mark.parametrize("source, offset", [("1e999", 0), ("2^1e999", 2), ("x * 2^-1e999", 7)])
+    def test_non_finite_literal(self, source, offset):
+        with pytest.raises(ExprSyntaxError) as info:
+            parse(source)
+        assert "not finite" in str(info.value)
+        assert info.value.offset == offset
+
 
 ROUND_TRIP_SOURCES = [
     "x^5 - x^3 - 18*x^2 + 12*x - 18",
@@ -190,3 +244,138 @@ class TestNodeEquality:
     def test_structural(self):
         assert parse("1 + x") == BinOp("+", Num(1.0), Var("x"))
         assert parse("-6*exp(x)") == BinOp("*", Neg(Num(6.0)), Call("exp", Var("x")))
+
+
+# --- property: array evaluation against per-point evaluation and sympy ---
+
+EXPONENTS = (-17.0, -3.0, -2.0, -1.0, 0.0, 1.0, 2.0, 3.0, 16.0, 17.0, 20.0, -0.5, 0.5, 1.5, 2.5, 1 / 3)
+# exact intermediates beyond this size (or nonzero below its inverse) are not
+# compared with sympy: float rounding there is overflow and underflow, which
+# only ^ and exp report
+LIMIT = 1e100
+FLOAT_MAX = sys.float_info.max
+ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+
+
+def _extend(children):
+    return st.one_of(
+        children.map(Neg),
+        st.builds(BinOp, st.sampled_from("+-*/"), children, children),
+        st.builds(Pow, children, st.sampled_from(EXPONENTS)),
+        st.builds(Call, st.sampled_from(FUNCTIONS), children),
+    )
+
+
+CONSTANTS = st.one_of(st.sampled_from([0.0, 0.5, 1.0, 2.0, 0.1]), st.floats(0.0, 8.0))
+ASTS = st.recursive(st.one_of(st.sampled_from(VARIABLES).map(Var), CONSTANTS.map(Num)), _extend, max_leaves=8)
+
+
+@st.composite
+def point_arrays(draw):
+    n = draw(st.integers(1, 5))
+    value = st.one_of(st.sampled_from([0.0, 1.0, -1.0, 0.5]), st.floats(-4.0, 4.0))
+    return {name: np.array(draw(st.lists(value, min_size=n, max_size=n))) for name in VARIABLES}
+
+
+def _at(x):
+    """Point arrays with x given and the other variables zero."""
+    x = np.array(x)
+    return {name: x if name == "x" else np.zeros_like(x) for name in VARIABLES}
+
+
+class _Fault(Exception):
+    """Exact arithmetic has no finite real float value at this node."""
+
+
+class _Skip(Exception):
+    """An exact intermediate lies where float rounding is not compared."""
+
+
+def _settle(v, node, scale):
+    """Check one exact node value; return it as a Rational."""
+    if not (v.is_real and v.is_finite):
+        raise _Fault
+    magnitude = abs(v)
+    if magnitude > FLOAT_MAX and (isinstance(node, Pow) or getattr(node, "func", None) == "exp"):
+        raise _Fault
+    if magnitude > LIMIT or 0 < magnitude < 1 / LIMIT:
+        raise _Skip
+    scale[0] = max(scale[0], float(magnitude))
+    return sp.Rational(v)
+
+
+def _exact(e, point, scale):
+    """Value of e at point in sympy, in the evaluator's walk order.
+
+    Arithmetic is exact on the rational values of the float inputs; each
+    function value is rounded to 60 digits.  scale[0] tracks the largest
+    intermediate magnitude.
+    """
+    if isinstance(e, Num):
+        return _settle(sp.Rational(e.value), e, scale)
+    if isinstance(e, Var):
+        return _settle(sp.Rational(float(point[e.name])), e, scale)
+    if isinstance(e, Neg):
+        return -_exact(e.operand, point, scale)
+    if isinstance(e, BinOp):
+        lhs = _exact(e.left, point, scale)
+        rhs = _exact(e.right, point, scale)
+        if e.op == "/" and rhs == 0:
+            raise _Fault
+        return _settle(ARITHMETIC[e.op](lhs, rhs), e, scale)
+    if isinstance(e, Pow):
+        base = _exact(e.base, point, scale)
+        if base == 0 and e.exponent < 0:
+            raise _Fault
+        if float(e.exponent).is_integer():
+            return _settle(base ** int(e.exponent), e, scale)
+        return _settle((base ** sp.Rational(e.exponent)).evalf(60), e, scale)
+    arg = _exact(e.arg, point, scale)
+    func = {"exp": sp.exp, "sin": sp.sin, "cos": sp.cos, "ln": sp.log, "sqrt": sp.sqrt}[e.func]
+    if (e.func == "ln" and arg <= 0) or (e.func == "sqrt" and arg < 0):
+        raise _Fault
+    return _settle(func(arg).evalf(60), e, scale)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(ASTS, point_arrays())
+@example(parse("1 / (x - 0.5)"), _at([1.0, 0.5, 0.5]))
+@example(parse("ln(x - 1) + sqrt(x)"), _at([3.0, 2.0, -1.0, 0.5]))
+@example(parse("sqrt(x - 1)"), _at([2.0, 0.0]))
+@example(parse("exp(x^3)"), _at([1.0, 2.0, 10.0, 9.0]))
+@example(parse("(x - 1)^1.5 + x^0.5"), _at([2.0, 1.0, 0.5, -2.0]))
+def test_array_evaluation_matches_points_and_sympy(e, cols):
+    n = len(cols["x"])
+    points = [{name: float(col[k]) for name, col in cols.items()} for k in range(n)]
+    scalar = []
+    for point in points:
+        try:
+            scalar.append(evaluate(e, PointState(**point)))
+        except ExprEvalError as err:
+            scalar.append(err)
+    faulted = [k for k, v in enumerate(scalar) if isinstance(v, ExprEvalError)]
+
+    # the array form is the per-point evaluation, bit for bit, or its first error
+    if faulted:
+        with pytest.raises(ExprEvalError) as info:
+            evaluate(e, PointState(**cols))
+        assert info.value.x == points[faulted[0]]["x"]
+        assert str(info.value) == str(scalar[faulted[0]])
+    else:
+        assert evaluate(e, PointState(**cols)).tobytes() == np.array(scalar).tobytes()
+
+    # sympy: equal to 1e-12 of the largest intermediate, or a fault at the same points
+    expected = []
+    for point in points:
+        scale = [0.0]
+        try:
+            expected.append((float(_exact(e, point, scale)), scale[0]))
+        except _Fault:
+            expected.append(None)
+        except _Skip:
+            return
+    assert faulted == [k for k, v in enumerate(expected) if v is None]
+    for got, want in zip(scalar, expected):
+        if want is not None:
+            value, scale = want
+            assert abs(got - value) <= 1e-12 * max(abs(value), scale)

@@ -180,6 +180,18 @@ class TestPicardSolve:
         assert picard_solve(preset("example2"), 3).iterations_used == 16
         assert picard_solve(preset("example4"), 5).iterations_used == 4
 
+    @pytest.mark.parametrize(
+        "name, iterations", [("example1", 9), ("example2", 13), ("example4", 4)]
+    )
+    def test_highest_degree_counts_and_error(self, name, iterations):
+        # cond(K) is about 2e15 at degree 30; the triangular solves on the
+        # factors must stay backward stable for the iteration to converge
+        spec = preset(name)
+        sol = picard_solve(spec, 30)
+        assert sol.converged and sol.iterations_used == iterations
+        assert max_grid_error(spec, sol, "p") <= 1e-10
+        assert max_grid_error(spec, sol, "q") <= 1e-10
+
     def test_boundary_values_reproduced(self):
         for name, degree in (("example2", 3), ("example3", 5), ("example4", 5)):
             spec = preset(name)
