@@ -63,14 +63,21 @@ class BoundaryData:
         return "b" if self.deriv_end == "a" else "a"
 
 
-def _check_vars(e, allowed, what):
+def _check_vars(e, allowed, what, note=""):
     if e is None:
         return
     extra = ex.free_vars(e) - allowed
     if extra:
         raise SpecValidationError(
-            f"{what} may only use {sorted(allowed)}; found {sorted(extra)}"
+            f"{what} may only use {sorted(allowed)}; found {sorted(extra)}{note}"
         )
+
+
+def _checked_domain(domain):
+    a, b = domain
+    if not (np.isfinite(a) and np.isfinite(b) and b > a):
+        raise SpecValidationError(f"domain must satisfy a < b, got {domain!r}")
+    return (float(a), float(b))
 
 
 @dataclass(frozen=True)
@@ -96,10 +103,7 @@ class ProblemSpec:
     exact_q: "ex.Expr | None" = None
 
     def __post_init__(self):
-        a, b = self.domain
-        if not (np.isfinite(a) and np.isfinite(b) and b > a):
-            raise SpecValidationError(f"domain must satisfy a < b, got {self.domain!r}")
-        object.__setattr__(self, "domain", (float(a), float(b)))
+        object.__setattr__(self, "domain", _checked_domain(self.domain))
         for coeffs, tag in ((self.p_coeffs, "a"), (self.q_coeffs, "b")):
             if len(coeffs) != 6:
                 raise SpecValidationError(f"{tag}1..{tag}6 must have length 6")

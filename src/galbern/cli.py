@@ -18,9 +18,9 @@ import argparse
 import configparser
 import csv
 import io
-import math
 import re
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -30,8 +30,6 @@ from .errors import ExprSyntaxError, GalbernError, ProblemFileError
 from .quadrature import default_order, gauss_legendre
 from .reduction import SixthOrderSpec, reduce
 from .solver import SolverConfig, picard_solve, refine_solve
-
-PRESETS = ("example1", "example2", "example3", "example4")
 
 _DEFAULT_DEGREE = 5
 
@@ -193,41 +191,25 @@ def dump_problem(spec):
 
 
 # ---------------------------------------------------------------------------
-# bundled example problems
+# bundled example problems: the shipped problem files, read as package data
 
-def _bc(value_a, value_b, end, deriv):
-    return BoundaryData(value_a, value_b, end, deriv)
+_PROBLEMS_DIR = Path(__file__).with_name("problems")
+_PRESET_FILES = {
+    "example1": "example1.prob",
+    "example2": "example2.prob",
+    "example3": "sixth_order_linear.prob",
+    "example4": "sixth_order_nonlinear.prob",
+}
+_SIXTH_ORDER_PRESETS = ("example3", "example4")
+PRESETS = tuple(_PRESET_FILES)
 
 
 def sixth_order_preset(name):
-    """The two bundled sixth-order problems, before reduction.
-
-    example3 is linear with solution (1 - x) e^x; example4 is nonlinear with
-    solution e^x.  The reduced boundary values for q = p''' come from those
-    solutions; example4's original statement constrains p'' and p^(4) at
-    both ends instead, so its (p, q) data here is derived, not translated.
-    """
-    if name == "example3":
-        return SixthOrderSpec(
-            domain=(0.0, 1.0),
-            coeffs=(ex.parse("-1"), None, None, None, None, None),
-            forcing=ex.parse("-6*exp(x)"),
-            bc_p=_bc(1.0, 0.0, "a", 0.0),
-            bc_q=_bc(-2.0, -3.0 * math.e, "a", -3.0),
-            exact_p=ex.parse("(1 - x) * exp(x)"),
-            exact_q=ex.parse("-(2 + x) * exp(x)"),
-        )
-    if name == "example4":
-        return SixthOrderSpec(
-            domain=(0.0, 1.0),
-            coeffs=(None,) * 6,
-            nonlinear=ex.parse("-exp(-x) * p^2"),
-            bc_p=_bc(1.0, math.e, "a", 1.0),
-            bc_q=_bc(1.0, math.e, "a", 1.0),
-            exact_p=ex.parse("exp(x)"),
-            exact_q=ex.parse("exp(x)"),
-        )
-    raise ValueError(f"no sixth-order preset named {name!r}")
+    """The bundled sixth-order problems before reduction: example3 is linear
+    with solution (1 - x) e^x, example4 nonlinear with solution e^x."""
+    if name not in _SIXTH_ORDER_PRESETS:
+        raise ValueError(f"no sixth-order preset named {name!r}")
+    return load_sixth_order(_PROBLEMS_DIR / _PRESET_FILES[name])
 
 
 def preset(name):
@@ -238,35 +220,11 @@ def preset(name):
     x^3.  example3 and example4 are the sixth-order problems of
     sixth_order_preset, reduced.
     """
-    if name == "example1":
-        return ProblemSpec(
-            domain=(0.0, 1.0),
-            p_coeffs=(None, ex.parse("2"), None, None, None, ex.parse("x")),
-            f=ex.parse("x^5 - x^3 - 18*x^2 + 12*x - 18"),
-            g=ex.parse("-36*x^3 + 12*x^2 + 30*x - 2"),
-            m2=ex.parse("1/6 * d2p * d2q"),
-            bc_p=_bc(0.0, 0.0, "a", 0.0),
-            bc_q=_bc(0.0, 0.0, "a", 0.0),
-            exact_p=ex.parse("3*x^2 - 3*x^3"),
-            exact_q=ex.parse("x^4 - x^2"),
-        )
-    if name == "example2":
-        return ProblemSpec(
-            domain=(0.0, 1.0),
-            p_coeffs=(None, None, None, ex.parse("-4"), None, None),
-            q_coeffs=(None, ex.parse("4"), None, ex.parse("-1"), None, None),
-            f=ex.parse("36*x^4"),
-            g=ex.parse("24*x^4 + 6"),
-            m1=ex.parse("d2p * dq"),
-            m2=ex.parse("dp * d2q"),
-            bc_p=_bc(0.0, 1.0, "a", 0.0),
-            bc_q=_bc(0.0, 1.0, "a", 0.0),
-            exact_p=ex.parse("x^4"),
-            exact_q=ex.parse("x^3"),
-        )
-    if name in ("example3", "example4"):
+    if name not in _PRESET_FILES:
+        raise ValueError(f"no preset named {name!r}")
+    if name in _SIXTH_ORDER_PRESETS:
         return reduce(sixth_order_preset(name))
-    raise ValueError(f"no preset named {name!r}")
+    return load_problem(_PROBLEMS_DIR / _PRESET_FILES[name])
 
 
 # ---------------------------------------------------------------------------

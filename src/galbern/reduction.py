@@ -19,10 +19,8 @@ solutions).
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import expr as ex
-from .assembly import BoundaryData, ProblemSpec
+from .assembly import COEFF_VARS, BoundaryData, ProblemSpec, _check_vars, _checked_domain
 from .errors import SpecValidationError
 
 _M_VARS = frozenset(("x", "p", "dp", "d2p"))
@@ -48,25 +46,16 @@ class SixthOrderSpec:
     exact_q: "ex.Expr | None" = None
 
     def __post_init__(self):
-        a, b = self.domain
-        if not (np.isfinite(a) and np.isfinite(b) and b > a):
-            raise SpecValidationError(f"domain must satisfy a < b, got {self.domain!r}")
-        object.__setattr__(self, "domain", (float(a), float(b)))
+        object.__setattr__(self, "domain", _checked_domain(self.domain))
         if len(self.coeffs) != 6:
             raise SpecValidationError("c0..c5 must have length 6")
         for k, c in enumerate(self.coeffs):
-            if c is not None and not ex.free_vars(c) <= frozenset(("x",)):
-                raise SpecValidationError(f"coefficient c{k} may only use x")
-        if self.forcing is not None and not ex.free_vars(self.forcing) <= frozenset(("x",)):
-            raise SpecValidationError("forcing may only use x")
-        if self.nonlinear is not None:
-            extra = ex.free_vars(self.nonlinear) - _M_VARS
-            if extra:
-                raise SpecValidationError(
-                    "nonlinear term may only use x, p, dp, d2p; "
-                    f"found {sorted(extra)} (derivatives above second order "
-                    "cannot be carried through the reduction)"
-                )
+            _check_vars(c, COEFF_VARS, f"coefficient c{k}")
+        _check_vars(self.forcing, COEFF_VARS, "forcing")
+        _check_vars(
+            self.nonlinear, _M_VARS, "nonlinear term",
+            " (derivatives above second order cannot be carried through the reduction)",
+        )
         if self.bc_p is None or self.bc_q is None:
             raise SpecValidationError(
                 "reduced boundary data for both p and q must be supplied"

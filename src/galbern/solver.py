@@ -50,7 +50,7 @@ class SolverConfig:
     quad_order: "int | None" = None
 
     def __post_init__(self):
-        if self.picard_tol <= 0 or self.degree_tol <= 0:
+        if not (self.picard_tol > 0 and self.degree_tol > 0):  # NaN fails too
             raise ValueError("tolerances must be positive")
         if self.max_picard_iters < 1:
             raise ValueError("max_picard_iters must be >= 1")
@@ -60,6 +60,8 @@ class SolverConfig:
             raise ValueError("grid_points must be >= 2")
         if self.min_degree < 3 or self.max_degree < self.min_degree:
             raise ValueError("need 3 <= min_degree <= max_degree")
+        if self.quad_order is not None and self.quad_order < 1:
+            raise ValueError("quad_order must be >= 1")
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
 import math
+import operator
 import os
 import subprocess
 import sys
@@ -6,13 +7,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import sympy as sp
 
 import galbern as gb
 from galbern import ProblemFileError, dump_problem, load_problem, load_sixth_order, preset
-from galbern.cli import error_table, run, sample_points
+from galbern.cli import PRESETS, error_table, run, sample_points
 
 PROBLEMS_DIR = Path(__file__).resolve().parent.parent / "problems"
-from galbern.expr import Num, Var
+from galbern.expr import BinOp, Neg, Num, Pow, Var
 
 EXAMPLE1_FILE = """\
 [domain]
@@ -226,6 +228,62 @@ class TestPresets:
             preset("example9")
 
 
+X = sp.Symbol("x")
+SYMPY_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+SYMPY_FUNCS = {"exp": sp.exp, "sin": sp.sin, "cos": sp.cos, "ln": sp.log, "sqrt": sp.sqrt}
+
+
+def to_sympy(e, env):
+    """An expression AST as an exact sympy expression; env maps variable names."""
+    if e is None:
+        return sp.Integer(0)
+    if isinstance(e, Num):
+        return sp.Rational(e.value)
+    if isinstance(e, Var):
+        return env[e.name]
+    if isinstance(e, Neg):
+        return -to_sympy(e.operand, env)
+    if isinstance(e, BinOp):
+        lhs, rhs = to_sympy(e.left, env), to_sympy(e.right, env)
+        return SYMPY_OPS[e.op](lhs, rhs)
+    if isinstance(e, Pow):
+        exponent = int(e.exponent) if float(e.exponent).is_integer() else sp.Rational(e.exponent)
+        return to_sympy(e.base, env) ** exponent
+    return SYMPY_FUNCS[e.func](to_sympy(e.arg, env))
+
+
+@pytest.mark.parametrize("name", PRESETS)
+class TestPresetsAgainstSympy:
+    """The exact pair of each preset solves its own equations and boundary data.
+
+    For the reduced sixth-order presets the p-equation is p''' - q = 0, so
+    this also checks q = p'''.
+    """
+
+    def test_exact_pair_satisfies_both_equations(self, name):
+        spec = preset(name)
+        p = to_sympy(spec.exact_p, {"x": X})
+        q = to_sympy(spec.exact_q, {"x": X})
+        env = {"x": X, "p": p, "dp": p.diff(X), "d2p": p.diff(X, 2),
+               "q": q, "dq": q.diff(X), "d2q": q.diff(X, 2)}
+        for u, v, coeffs, m, forcing in ((p, q, spec.p_coeffs, spec.m1, spec.f),
+                                         (q, p, spec.q_coeffs, spec.m2, spec.g)):
+            terms = (u.diff(X, 2), u.diff(X), u, v.diff(X, 2), v.diff(X), v)
+            residual = (u.diff(X, 3) + sum(to_sympy(c, env) * t for c, t in zip(coeffs, terms))
+                        + to_sympy(m, env) - to_sympy(forcing, env))
+            assert sp.simplify(residual) == 0
+
+    def test_boundary_data_matches_exact_pair(self, name):
+        spec = preset(name)
+        a, b = (sp.Rational(end) for end in spec.domain)
+        for exact, bc in ((spec.exact_p, spec.bc_p), (spec.exact_q, spec.bc_q)):
+            u = to_sympy(exact, {"x": X})
+            end = a if bc.deriv_end == "a" else b
+            for given, value in ((bc.value_a, u.subs(X, a)), (bc.value_b, u.subs(X, b)),
+                                 (bc.deriv_value, u.diff(X).subs(X, end))):
+                assert math.isclose(given, float(value), rel_tol=1e-15, abs_tol=0.0)
+
+
 class TestErrorTable:
     def test_unit_domain_grid_is_exact_tenths(self):
         assert sample_points((0.0, 1.0)) == [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]
@@ -341,8 +399,23 @@ class TestRunSolve:
         ])
         assert status == 0
 
+    def test_quad_order_zero_rejected(self, capsys):
+        status = run(["solve", "--preset", "example1", "--degree", "5", "--quad-order", "0"])
+        assert status == 1
+        assert "error:" in capsys.readouterr().err
+
 
 class TestShippedProblemFiles:
+    """The presets are read from the package-data path; these files are the
+    same ones read at the repo root."""
+
+    def test_package_data_is_the_root_copy(self):
+        package_dir = Path(gb.cli.__file__).with_name("problems")
+        shipped = sorted(path.name for path in PROBLEMS_DIR.glob("*.prob"))
+        assert sorted(path.name for path in package_dir.glob("*.prob")) == shipped
+        for name in shipped:
+            assert (package_dir / name).read_bytes() == (PROBLEMS_DIR / name).read_bytes()
+
     @pytest.mark.parametrize("name", ["example1", "example2"])
     def test_coupled_files_match_presets(self, name):
         spec = load_problem(str(PROBLEMS_DIR / f"{name}.prob"))
@@ -353,6 +426,7 @@ class TestShippedProblemFiles:
         assert spec.m1 == built.m1 and spec.m2 == built.m2
         assert spec.bc_p == built.bc_p and spec.bc_q == built.bc_q
         assert spec.exact_p == built.exact_p and spec.exact_q == built.exact_q
+        assert spec == built
 
     @pytest.mark.parametrize(
         "filename,preset_name",
@@ -368,6 +442,7 @@ class TestShippedProblemFiles:
         assert spec6.bc_q.value_a == built.bc_q.value_a
         assert spec6.bc_q.value_b == pytest.approx(built.bc_q.value_b, abs=1e-15)
         assert spec6.exact_p == built.exact_p
+        assert spec6 == built
 
 
 class TestRunReduce:

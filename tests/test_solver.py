@@ -331,3 +331,9 @@ class TestSolverConfig:
             SolverConfig(grid_points=1)
         with pytest.raises(ValueError):
             SolverConfig(fixed_iters=-1)
+        with pytest.raises(ValueError):
+            SolverConfig(quad_order=0)
+        with pytest.raises(ValueError):
+            SolverConfig(picard_tol=float("nan"))
+        with pytest.raises(ValueError):
+            SolverConfig(degree_tol=float("nan"))
