@@ -57,6 +57,11 @@ class BoundaryData:
             raise SpecValidationError(
                 f"deriv_end must be 'a' or 'b', got {self.deriv_end!r}"
             )
+        for name in ("value_a", "value_b", "deriv_value"):
+            if not np.isfinite(getattr(self, name)):
+                raise SpecValidationError(
+                    f"{name} must be finite, got {getattr(self, name)!r}"
+                )
 
     @property
     def natural_end(self):
@@ -199,20 +204,25 @@ class _Workspace:
     """One solve's discretization, shared by every assembly pass over it.
 
     Holds the interior basis tables (orders 0-2) at the quadrature nodes, the
-    members' first derivatives at both ends, and the values of both offsets
-    ('p' and 'q') and their first two derivatives at the nodes.
+    members' first derivatives at both ends, the interior members on the
+    evaluation grid (empty unless a grid is given), and the values of both
+    offsets ('p' and 'q') and their first two derivatives at the nodes.  All
+    basis tables come from one recurrence pass over nodes, ends and grid.
     """
 
-    def __init__(self, spec, basis, rule, offsets):
+    def __init__(self, spec, basis, rule, offsets, grid=()):
         if abs(basis.a - spec.domain[0]) > 1e-12 or abs(basis.b - spec.domain[1]) > 1e-12:
             raise SpecValidationError("basis interval differs from the problem domain")
         self.spec = spec
         self.theta = dict(zip("pq", _offset_or_default(offsets, spec)))
         self.xs = np.asarray(rule.points)
         self.w = np.asarray(rule.weights)
-        self.tables = [basis.interior_table(self.xs, order) for order in (0, 1, 2)]
-        ends = basis.interior_table(spec.domain, 1)
-        self.d1 = {"a": ends[:, 0], "b": ends[:, 1]}
+        g = len(self.xs)
+        stacked = basis.interior_table(np.concatenate([self.xs, spec.domain, grid]), (0, 1, 2))
+        # contiguous copies: the products below see the layout of separate tables
+        self.tables = [np.ascontiguousarray(table[:, :g]) for table in stacked]
+        self.d1 = {"a": stacked[1][:, g], "b": stacked[1][:, g + 1]}
+        self.grid_table = np.ascontiguousarray(stacked[0][:, g + 2 :])
         self.th = {
             which: tuple(theta.value(self.xs, order) for order in (0, 1, 2))
             for which, theta in self.theta.items()

@@ -71,34 +71,44 @@ class BernsteinBasis:
         a, b = self.interval
         x = np.asarray(x, dtype=float)
         tol = _CLAMP_TOL * max(1.0, abs(a), abs(b))
-        if np.any(x < a - tol) or np.any(x > b + tol):
-            bad = x[(x < a - tol) | (x > b + tol)] if x.ndim else x
+        outside = ~((x >= a - tol) & (x <= b + tol))  # NaN is outside too
+        if np.any(outside):
+            bad = x[outside] if x.ndim else x
             raise DomainError(f"x = {bad} outside [{a}, {b}]")
         return np.clip(x, a, b)
 
-    def _table(self, x, k):
-        """k-th derivatives of all n+1 members at x (validated), k <= n.
+    def _tables(self, x, orders):
+        """k-th derivatives of all n+1 members at x (validated), each k in orders.
 
-        Runs the degree recurrence up to degree n-k, then the derivative
-        identity k times.  Row i holds member i; the trailing axes are x's.
+        One pass of the degree recurrence runs in place on a single array; the
+        table at degree n-k is copied out for each order k and then raised to
+        degree n by the derivative identity k times.  Returns a list in the
+        order of `orders`; row i of each table holds member i, and the
+        trailing axes are x's.
         """
         n = self.degree
         a, b = self.interval
         t = (x - a) / (b - a)
         s = (b - x) / (b - a)
-        zero = np.zeros((1,) + x.shape)
-        table = np.ones((1,) + x.shape)
-        for _ in range(n - k):
-            padded = np.concatenate([zero, table, zero])
-            table = s * padded[1:] + t * padded[:-1]
-        for m in range(n - k + 1, n + 1):
-            padded = np.concatenate([zero, table, zero])
-            table = m / (b - a) * (padded[:-1] - padded[1:])
-        return table
+        # member i lives in row i+1; rows 0 and beyond the current degree are 0
+        work = np.zeros((n + 2,) + x.shape)
+        work[1] = 1.0
+        raised = {}
+        for m in range(n + 1):
+            if m:
+                carry = t * work[1 : m + 1]
+                work[1 : m + 1] *= s
+                work[2 : m + 2] += carry
+            if n - m in orders:
+                raised[n - m] = work.copy() if m < n else work
+        for k, table in raised.items():
+            for m in range(n - k + 1, n + 1):
+                table[1 : m + 2] = m / (b - a) * (table[: m + 1] - table[1 : m + 2])
+        return [raised[k][1:] for k in orders]
 
     def _member(self, i, x, k):
         xv = self._checked(x)
-        out = self._table(xv, k)[i] if 0 <= i <= self.degree else np.zeros_like(xv)
+        out = self._tables(xv, (k,))[0][i] if 0 <= i <= self.degree else np.zeros_like(xv)
         return float(out) if np.isscalar(x) or out.ndim == 0 else out
 
     def eval(self, i, x):
@@ -119,8 +129,12 @@ class BernsteinBasis:
         """Matrix of interior members at the points x.
 
         Returns shape (n-1, len(x)); row j-1 holds the order-th derivative of
-        member j.  Used by the assembly routines, which need all members at
-        all quadrature nodes at once.
+        member j.  order may also be a tuple of orders, which returns the
+        tables stacked on a leading axis, all from one recurrence pass.  Used
+        by the assembly routines, which need all members at all quadrature
+        nodes at once.
         """
         xv = self._checked(np.atleast_1d(x))
-        return self._table(xv, order)[1:-1]
+        if isinstance(order, tuple):
+            return np.stack([table[1:-1] for table in self._tables(xv, order)])
+        return self._tables(xv, (order,))[0][1:-1]

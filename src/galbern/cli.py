@@ -65,9 +65,12 @@ def _float_field(cp, section, key, required=True):
         return None
     raw = cp.get(section, key)
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError as err:
         raise ProblemFileError(f"[{section}] {key}: not a number: {raw!r}") from err
+    if not np.isfinite(value):
+        raise ProblemFileError(f"[{section}] {key}: not a finite number: {raw!r}")
+    return value
 
 
 def _check_keys(cp, section, allowed):

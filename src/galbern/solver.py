@@ -123,19 +123,24 @@ def _lu_factor(A0):
     n = A0.shape[0]
     threshold = _PIVOT_RTOL * max(np.max(np.abs(A0)), np.finfo(float).tiny)
     A = A0.copy()
-    perm = np.arange(n)
+    perm = list(range(n))
     for k in range(n):
-        piv = k + int(np.argmax(np.abs(A[k:, k])))
-        if abs(A[piv, k]) < threshold:
-            raise SingularSystemError(k, abs(A[piv, k]))
-        if piv != k:
-            A[[k, piv]] = A[[piv, k]]
-            perm[[k, piv]] = perm[[piv, k]]
-        A[k + 1 :, k] /= A[k, k]
-        A[k + 1 :, k + 1 :] -= np.outer(A[k + 1 :, k], A[k, k + 1 :])
+        col = np.abs(A[k:, k])
+        j = col.argmax()
+        if col[j] < threshold:
+            raise SingularSystemError(k, col[j])
+        if j:
+            p = k + j
+            row = A[k].copy()
+            A[k] = A[p]
+            A[p] = row
+            perm[k], perm[p] = perm[p], perm[k]
+        below = A[k + 1 :, k]
+        below /= A[k, k]
+        A[k + 1 :, k + 1 :] -= below[:, None] * A[k, k + 1 :]
     L = np.tril(A, -1)
     np.fill_diagonal(L, 1.0)
-    return A0, L, np.triu(A), perm
+    return A0, L, np.triu(A), np.array(perm)
 
 
 def _lu_solve(factors, b0):
@@ -162,6 +167,8 @@ def solve_dense(K, rhs):
     1e-10 * (1 + max|rhs|) for the well-scaled systems assembled here.
 
     Raises:
+        ValueError: K and rhs are not a square matrix and a matching vector,
+            or hold a non-finite entry.
         SingularSystemError: a pivot fell below 1e-13 * max|K|.
     """
     A0 = np.asarray(K, dtype=float)
@@ -169,6 +176,12 @@ def solve_dense(K, rhs):
     n = A0.shape[0]
     if A0.shape != (n, n) or b0.shape != (n,):
         raise ValueError(f"shape mismatch: matrix {A0.shape}, rhs {b0.shape}")
+    if not np.all(np.isfinite(A0)):
+        i, j = np.argwhere(~np.isfinite(A0))[0]
+        raise ValueError(f"non-finite matrix entry at row {i}, column {j}")
+    if not np.all(np.isfinite(b0)):
+        (i,) = np.argwhere(~np.isfinite(b0))[0]
+        raise ValueError(f"non-finite right-hand side entry at row {i}")
     return _lu_solve(_lu_factor(A0), b0)
 
 
@@ -193,11 +206,23 @@ def picard_solve(spec, degree, config=None, offsets=None):
     a, b = spec.domain
     basis = BernsteinBasis(degree, (a, b))
     rule = gauss_legendre(config.quad_order or default_order(degree), a, b)
-    ws = _Workspace(spec, basis, rule, offsets)
+    grid = np.linspace(a, b, config.grid_points)
+    ws = _Workspace(spec, basis, rule, offsets, grid)
 
     system = assemble_linear(spec, basis, rule, workspace=ws)
     m = system.size
-    factors = _lu_factor(system.matrix)
+    try:
+        factors = _lu_factor(system.matrix)
+    except SingularSystemError as err:
+        g = len(rule.points)
+        if g >= degree:
+            raise
+        raise SingularSystemError(
+            err.pivot_index, err.pivot_value,
+            note=f"; quadrature order {g} cannot integrate the degree-{degree} "
+            f"Galerkin integrands exactly (the default is max(24, 2n) = "
+            f"{default_order(degree)})",
+        ) from err
     c = _lu_solve(factors, system.rhs)
     sol = Solution(
         basis=basis, offset_p=ws.theta["p"], offset_q=ws.theta["q"],
@@ -208,10 +233,8 @@ def picard_solve(spec, degree, config=None, offsets=None):
         return sol
 
     # grid values of both unknowns as one 2 x P array, from one table
-    grid = np.linspace(a, b, config.grid_points)
-    grid_table = basis.interior_table(grid)
     grid_offsets = np.array([ws.theta[u].value(grid) for u in "pq"])
-    prev_vals = grid_offsets + c.reshape(2, m) @ grid_table
+    prev_vals = grid_offsets + c.reshape(2, m) @ ws.grid_table
     target = config.fixed_iters if config.fixed_iters is not None else config.max_picard_iters
     distances = []
     for k in range(1, target + 1):
@@ -220,7 +243,7 @@ def picard_solve(spec, degree, config=None, offsets=None):
         if not np.all(np.isfinite(c)):
             raise DivergenceError(k, "iterate became non-finite")
         sol = replace(sol, coeffs_p=c[:m], coeffs_q=c[m:], iterations_used=k)
-        vals = grid_offsets + c.reshape(2, m) @ grid_table
+        vals = grid_offsets + c.reshape(2, m) @ ws.grid_table
         dist = float(np.max(np.abs(vals - prev_vals)))
         prev_vals = vals
         distances.append(dist)
@@ -254,7 +277,11 @@ def refine_solve(spec, config=None):
     prev_sol = prev_vals = None
     for degree in range(config.min_degree, config.max_degree + 1):
         sol = picard_solve(spec, degree, config)
-        vals = np.array([sol.evaluate(grid, "p"), sol.evaluate(grid, "q")])
+        table = sol.basis.interior_table(grid)
+        vals = np.array([
+            theta.value(grid) + coeffs @ table
+            for theta, coeffs in ((sol.offset_p, sol.coeffs_p), (sol.offset_q, sol.coeffs_q))
+        ])
         degrees.append(degree)
         if prev_sol is None:
             distances.append(None)

@@ -16,7 +16,7 @@ from galbern import (
     picard_solve,
     residual_norm,
 )
-from galbern.assembly import AffineOffset
+from galbern.assembly import AffineOffset, _Workspace
 from galbern.cli import preset
 from galbern.solver import Solution
 
@@ -321,6 +321,32 @@ class TestNonlinearRhs:
             assert vec2[row] == pytest.approx(float(expected), rel=1e-12)
 
 
+class TestWorkspace:
+    """The one-pass tables must equal separate interior_table calls."""
+
+    @pytest.mark.parametrize("grid_points", [0, 101])
+    def test_tables_equal_separate_calls(self, grid_points):
+        spec = preset("example4")
+        a, b = spec.domain
+        basis = BernsteinBasis(30, (a, b))
+        rule = make_rule(30, (a, b))
+        grid = np.linspace(a, b, grid_points)
+        ws = _Workspace(spec, basis, rule, None, grid)
+        for order, table in enumerate(ws.tables):
+            assert table.flags.c_contiguous
+            assert table.tobytes() == basis.interior_table(rule.points, order).tobytes()
+        ends = basis.interior_table(spec.domain, 1)
+        assert ws.d1["a"].tobytes() == ends[:, 0].tobytes()
+        assert ws.d1["b"].tobytes() == ends[:, 1].tobytes()
+        assert ws.grid_table.flags.c_contiguous
+        assert ws.grid_table.tobytes() == basis.interior_table(grid).tobytes()
+
+    def test_grid_defaults_to_empty(self):
+        spec = preset("example1")
+        ws = _Workspace(spec, BernsteinBasis(5, spec.domain), make_rule(5), None)
+        assert ws.grid_table.shape == (4, 0)
+
+
 class TestResidualNorm:
     def test_zero_problem_zero_solution(self):
         spec = ProblemSpec(
@@ -388,6 +414,15 @@ class TestSpecValidation:
     def test_bad_deriv_end(self):
         with pytest.raises(SpecValidationError):
             BoundaryData(0.0, 0.0, "left", 0.0)
+
+    @pytest.mark.parametrize("args,name", [
+        ((np.nan, 0.0, "a", 0.0), "value_a"),
+        ((0.0, np.inf, "a", 0.0), "value_b"),
+        ((0.0, 0.0, "b", -np.inf), "deriv_value"),
+    ])
+    def test_non_finite_boundary_data(self, args, name):
+        with pytest.raises(SpecValidationError, match=name):
+            BoundaryData(*args)
 
     def test_basis_domain_mismatch(self):
         spec = preset("example1")

@@ -40,6 +40,14 @@ class TestEval:
         with pytest.raises(DomainError):
             UNIT.eval(1, -0.001)
 
+    def test_nan_raises(self):
+        with pytest.raises(DomainError):
+            UNIT.eval(2, np.nan)
+        with pytest.raises(DomainError):
+            UNIT.eval_deriv(2, np.array([0.5, np.nan]), 1)
+        with pytest.raises(DomainError):
+            UNIT.interior_table([0.5, np.nan])
+
     def test_roundoff_overshoot_clamped(self):
         assert UNIT.eval(1, 1.0 + 1e-13) == UNIT.eval(1, 1.0)
         assert UNIT.eval(1, -1e-13) == UNIT.eval(1, 0.0)
@@ -121,6 +129,63 @@ class TestInteriorTable:
             member = basis.eval(j, xs) if order == 0 else basis.eval_deriv(j, xs, order)
             scale = np.max(np.abs(member))
             np.testing.assert_allclose(table[j - 1], member, rtol=1e-13, atol=1e-13 * scale)
+
+
+def loop_reference_table(basis, x, k):
+    """The degree recurrence as first written: one fresh padded array per
+    degree step.  The in-place recurrence must reproduce it bit for bit."""
+    n = basis.degree
+    a, b = basis.interval
+    x = np.clip(np.asarray(x, dtype=float), a, b)
+    t = (x - a) / (b - a)
+    s = (b - x) / (b - a)
+    zero = np.zeros((1,) + x.shape)
+    table = np.ones((1,) + x.shape)
+    for _ in range(n - k):
+        padded = np.concatenate([zero, table, zero])
+        table = s * padded[1:] + t * padded[:-1]
+    for m in range(n - k + 1, n + 1):
+        padded = np.concatenate([zero, table, zero])
+        table = m / (b - a) * (padded[:-1] - padded[1:])
+    return table
+
+
+def assert_bitwise_equal(actual, expected):
+    actual, expected = np.asarray(actual), np.asarray(expected)
+    assert actual.shape == expected.shape
+    assert np.ascontiguousarray(actual).tobytes() == np.ascontiguousarray(expected).tobytes()
+
+
+class TestRecurrenceMatchesLoopReference:
+    INTERVAL = (-0.75, 2.5)
+    XS = np.concatenate([[-0.75, 2.5, 2.5 + 1e-13], np.linspace(-0.75, 2.5, 37)[1:-1]])
+
+    @pytest.mark.parametrize("n", [3, 12, 30])
+    @pytest.mark.parametrize("order", [0, 1, 2, 3])
+    def test_interior_table(self, n, order):
+        basis = BernsteinBasis(n, self.INTERVAL)
+        expected = loop_reference_table(basis, self.XS, order)[1:-1]
+        assert_bitwise_equal(basis.interior_table(self.XS, order), expected)
+
+    @pytest.mark.parametrize("n", [3, 12, 30])
+    @pytest.mark.parametrize("order", [0, 1, 2, 3])
+    def test_members_at_scalar_and_array_x(self, n, order):
+        basis = BernsteinBasis(n, self.INTERVAL)
+        member = basis.eval if order == 0 else lambda i, x: basis.eval_deriv(i, x, order)
+        for i in (0, 1, n // 2, n):
+            assert_bitwise_equal(member(i, self.XS), loop_reference_table(basis, self.XS, order)[i])
+            for x in (-0.75, 0.1, 2.5):
+                assert_bitwise_equal(member(i, x), loop_reference_table(basis, x, order)[i])
+
+    @pytest.mark.parametrize("n", [3, 12, 30])
+    def test_stacked_orders_equal_single_orders(self, n):
+        basis = BernsteinBasis(n, self.INTERVAL)
+        orders = (0, 1, 2, 3)
+        stacked = basis.interior_table(self.XS, orders)
+        assert stacked.shape == (4, n - 1, len(self.XS))
+        for k, table in zip(orders, stacked):
+            assert_bitwise_equal(table, basis.interior_table(self.XS, k))
+        assert_bitwise_equal(basis.interior_table(self.XS, (2, 0))[0], stacked[2])
 
 
 class TestInteriorIndices:

@@ -1,6 +1,7 @@
 import math
 import operator
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -397,6 +398,33 @@ class TestRunSolve:
         status = run([
             "solve", "--preset", "example1", "--degree", "3", "--quad-order", "40",
         ])
+        assert status == 0
+
+    @pytest.mark.parametrize("section,key,raw", [
+        ("bc.p", "value_b", "nan"), ("bc.q", "value_b", "nan"), ("bc.p", "value_a", "inf"),
+        ("bc.p", "value_b", "-inf"), ("bc.q", "deriv_a", "nan"), ("domain", "b", "inf"),
+    ])
+    def test_non_finite_file_number_exits_with_its_field(self, tmp_path, capsys, section, key, raw):
+        head, sep, tail = EXAMPLE1_FILE.partition(f"[{section}]\n")
+        tail = re.sub(rf"^{key} = .*$", f"{key} = {raw}", tail, count=1, flags=re.M)
+        path = write_problem(tmp_path, head + sep + tail, "nonfinite.prob")
+        assert run(["solve", path, "--degree", "4"]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: [{section}] {key}: not a finite number: {raw!r}\n"
+
+    @pytest.mark.parametrize("degree,quad_order", [("5", "1"), ("12", "5")])
+    def test_too_coarse_quad_order_named(self, capsys, degree, quad_order):
+        status = run([
+            "solve", "--preset", "example1", "--degree", degree, "--quad-order", quad_order,
+        ])
+        assert status == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: singular system: pivot ")
+        assert f"quadrature order {quad_order}" in err
+        assert "max(24, 2n)" in err
+
+    def test_quad_order_equal_to_degree_solves(self, capsys):
+        status = run(["solve", "--preset", "example1", "--degree", "12", "--quad-order", "12"])
         assert status == 0
 
     def test_quad_order_zero_rejected(self, capsys):

@@ -13,7 +13,10 @@ from galbern import (
     refine_solve,
     solve_dense,
 )
+from galbern.assembly import assemble_linear
 from galbern.cli import preset
+from galbern.quadrature import default_order, gauss_legendre
+from galbern.solver import _PIVOT_RTOL, _lu_factor
 
 # reference coefficients in the display basis x(1-x)^2, x^2(1-x); the first
 # pair is the discrete fixed point (iterated to machine convergence), the
@@ -77,6 +80,75 @@ class TestSolveDense:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             solve_dense(np.eye(3), np.zeros(2))
+
+    def test_nan_matrix_entry_named(self):
+        K = np.eye(3)
+        K[1, 2] = np.nan
+        with pytest.raises(ValueError, match="row 1, column 2"):
+            solve_dense(K, np.ones(3))
+
+    def test_nan_rhs_entry_named(self):
+        with pytest.raises(ValueError, match="right-hand side entry at row 2"):
+            solve_dense(np.eye(3), np.array([1.0, 2.0, np.nan]))
+
+    def test_inf_matrix_entry_is_not_a_singular_pivot(self):
+        K = np.eye(2)
+        K[0, 1] = np.inf
+        with pytest.raises(ValueError, match="non-finite matrix entry at row 0, column 1") as info:
+            solve_dense(K, np.ones(2))
+        assert not isinstance(info.value, SingularSystemError)
+
+
+def outer_product_lu(A0):
+    """The pivoted elimination as first written, with np.outer updates.  The
+    factorization in use must reproduce it bit for bit."""
+    n = A0.shape[0]
+    threshold = _PIVOT_RTOL * max(np.max(np.abs(A0)), np.finfo(float).tiny)
+    A = A0.copy()
+    perm = np.arange(n)
+    for k in range(n):
+        piv = k + int(np.argmax(np.abs(A[k:, k])))
+        if abs(A[piv, k]) < threshold:
+            raise SingularSystemError(k, abs(A[piv, k]))
+        if piv != k:
+            A[[k, piv]] = A[[piv, k]]
+            perm[[k, piv]] = perm[[piv, k]]
+        A[k + 1 :, k] /= A[k, k]
+        A[k + 1 :, k + 1 :] -= np.outer(A[k + 1 :, k], A[k, k + 1 :])
+    L = np.tril(A, -1)
+    np.fill_diagonal(L, 1.0)
+    return L, np.triu(A), perm
+
+
+class TestLuFactorMatchesLoopReference:
+    @staticmethod
+    def assert_same_factors(A0):
+        _, L, U, perm = _lu_factor(A0)
+        L_ref, U_ref, perm_ref = outer_product_lu(A0)
+        assert L.tobytes() == L_ref.tobytes()
+        assert U.tobytes() == U_ref.tobytes()
+        assert np.array_equal(perm, perm_ref)
+
+    def test_example2_degree30_matrix(self):
+        spec = preset("example2")
+        basis = gb.BernsteinBasis(30, spec.domain)
+        system = assemble_linear(spec, basis, gauss_legendre(default_order(30), *spec.domain))
+        assert system.matrix.shape == (58, 58)
+        self.assert_same_factors(system.matrix)
+
+    def test_seeded_random_matrix(self):
+        self.assert_same_factors(np.random.default_rng(58).uniform(-5, 5, size=(58, 58)))
+
+    def test_same_singular_pivot(self):
+        K = np.ones((4, 4))
+        K[:, 3] = [1.0, 2.0, 3.0, 4.0]
+        with pytest.raises(SingularSystemError) as info:
+            _lu_factor(K)
+        with pytest.raises(SingularSystemError) as ref:
+            outer_product_lu(K)
+        assert (info.value.pivot_index, info.value.pivot_value) == (
+            ref.value.pivot_index, ref.value.pivot_value,
+        )
 
 
 class TestPicardSolve:
@@ -202,6 +274,15 @@ class TestPicardSolve:
             assert sol.evaluate(a, "q") == pytest.approx(spec.bc_q.value_a, abs=1e-12)
             assert sol.evaluate(b, "q") == pytest.approx(spec.bc_q.value_b, abs=1e-12)
 
+    @pytest.mark.parametrize("degree,quad_order,pivot", [(5, 1, 1), (12, 5, 5)])
+    def test_too_coarse_quadrature_named(self, degree, quad_order, pivot):
+        with pytest.raises(SingularSystemError) as info:
+            picard_solve(preset("example1"), degree, SolverConfig(quad_order=quad_order))
+        message = str(info.value)
+        assert message.startswith(f"singular system: pivot {pivot} has magnitude ")
+        assert f"quadrature order {quad_order} cannot integrate the degree-{degree}" in message
+        assert info.value.pivot_index == pivot
+
     def test_non_convergence_error(self):
         # quintupling the nonlinear term sends the contraction ratio past 1;
         # the iteration wanders without blowing up fast
@@ -269,6 +350,10 @@ class TestEvalSolution:
         sol = picard_solve(preset("example1"), 3)
         with pytest.raises(gb.DomainError):
             sol.evaluate(1.5, "p")
+        with pytest.raises(gb.DomainError):
+            sol.evaluate(np.nan, "p")
+        with pytest.raises(gb.DomainError):
+            sol.evaluate(np.array([0.5, np.nan]), "q", order=1)
         with pytest.raises(ValueError):
             sol.evaluate(0.5, "r")
         with pytest.raises(ValueError):
@@ -299,6 +384,19 @@ class TestRefineSolve:
         xs = np.linspace(0, 1, 101)
         dist_p = np.max(np.abs(sol3.evaluate(xs, "p") - sol4.evaluate(xs, "p")))
         assert 1e-4 <= dist_p <= 4e-4  # ~2e-4, the degree-3 error scale for p
+
+    def test_distances_are_those_of_the_solutions(self):
+        spec = preset("example1")
+        _, history = refine_solve(spec, SolverConfig(min_degree=3, max_degree=5))
+        xs = np.linspace(0.0, 1.0, 101)
+        vals = [
+            np.array([sol.evaluate(xs, "p"), sol.evaluate(xs, "q")])
+            for sol in (picard_solve(spec, n) for n in history.degrees)
+        ]
+        expected = [None] + [
+            float(np.max(np.abs(v - u))) for u, v in zip(vals, vals[1:])
+        ]
+        assert history.distances == expected
 
     def test_single_degree_sweep(self):
         spec = preset("example2")
