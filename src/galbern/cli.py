@@ -26,8 +26,8 @@ import numpy as np
 
 from . import expr as ex
 from .assembly import BoundaryData, ProblemSpec, residual_norm
+from .basis import MAX_DEGREE
 from .errors import ExprSyntaxError, GalbernError, ProblemFileError
-from .quadrature import default_order, gauss_legendre
 from .reduction import SixthOrderSpec, reduce
 from .solver import SolverConfig, picard_solve, refine_solve
 
@@ -292,19 +292,21 @@ def format_table(table):
     return "\n".join(lines) + "\n"
 
 
-def format_csv(table):
+def _csv_text(header, rows):
+    """CSV with one header line; every value written as its exact repr."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["x", "p_exact", "p_approx", "p_abs_err", "q_exact", "q_approx", "q_abs_err"])
-    for k in range(len(table.xs)):
-        writer.writerow(
-            [
-                repr(table.xs[k]),
-                repr(table.p_exact[k]), repr(table.p_approx[k]), repr(table.p_error[k]),
-                repr(table.q_exact[k]), repr(table.q_approx[k]), repr(table.q_error[k]),
-            ]
-        )
+    writer.writerow(header)
+    writer.writerows([repr(value) for value in row] for row in rows)
     return buf.getvalue()
+
+
+def format_csv(table):
+    return _csv_text(
+        ["x", "p_exact", "p_approx", "p_abs_err", "q_exact", "q_approx", "q_abs_err"],
+        zip(table.xs, table.p_exact, table.p_approx, table.p_error,
+            table.q_exact, table.q_approx, table.q_error),
+    )
 
 
 def format_samples(sol, domain, as_csv=False):
@@ -312,12 +314,7 @@ def format_samples(sol, domain, as_csv=False):
     xs = sample_points(domain)
     rows = list(zip(xs, sol.evaluate(xs, "p").tolist(), sol.evaluate(xs, "q").tolist()))
     if as_csv:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["x", "p_approx", "q_approx"])
-        for x, p, q in rows:
-            writer.writerow([repr(x), repr(p), repr(q)])
-        return buf.getvalue()
+        return _csv_text(["x", "p_approx", "q_approx"], rows)
     lines = [f"{'x':>6} {'p approx':>18} {'q approx':>18}"]
     for x, p, q in rows:
         lines.append(f"{x:6.2f} {p:18.10f} {q:18.10f}")
@@ -339,18 +336,22 @@ def _build_argparser():
     sp.add_argument("problem", nargs="?", help="path to a problem file")
     sp.add_argument("--preset", choices=PRESETS, help="bundled example problem")
     deg = sp.add_mutually_exclusive_group()
-    deg.add_argument("--degree", type=int, help=f"trial degree (default {_DEFAULT_DEGREE})")
-    deg.add_argument("--sweep", metavar="MIN..MAX", help="refine over a degree range")
+    deg.add_argument("--degree", type=int,
+                     help=f"trial degree, 3 to {MAX_DEGREE} (default {_DEFAULT_DEGREE})")
+    deg.add_argument("--sweep", metavar="MIN..MAX",
+                     help=f"refine over a degree range within 3..{MAX_DEGREE}")
     sp.add_argument("--fixed-iters", type=int, metavar="K",
                     help="run exactly K lagged iterations after the bootstrap")
     sp.add_argument("--tol-picard", type=float, default=1e-10, metavar="TOL",
-                    help="successive-iterate tolerance (default 1e-10)")
+                    help="successive-iterate tolerance, positive and finite (default 1e-10)")
     sp.add_argument("--tol-degree", type=float, default=1e-8, metavar="TOL",
-                    help="consecutive-degree tolerance for --sweep (default 1e-8)")
+                    help="consecutive-degree tolerance for --sweep, positive and finite "
+                    "(default 1e-8)")
     sp.add_argument("--quad-order", type=int, metavar="G",
                     help="Gauss-Legendre order (default max(24, 2n))")
     sp.add_argument("--grid", type=int, default=101, metavar="P",
-                    help="evaluation grid points for convergence tests (default 101)")
+                    help="evaluation grid points for convergence tests, at least 3 "
+                    "(default 101)")
     sp.add_argument("--format", choices=("table", "csv"), default="table")
     sp.add_argument("--out", help="write the report to a file instead of stdout")
 
@@ -390,23 +391,19 @@ def _run_solve(args):
     )
     if args.sweep:
         lo, hi = _parse_sweep(args.sweep)
-        config = SolverConfig(min_degree=lo, max_degree=hi, **kwargs)
-        sol, history = refine_solve(spec, config)
+        sol, history = refine_solve(spec, SolverConfig(min_degree=lo, max_degree=hi, **kwargs))
         for deg, dist in zip(history.degrees, history.distances):
             note = "" if dist is None else f": distance from previous degree {dist:.3e}"
             print(f"degree {deg}{note}", file=sys.stderr)
         converged = history.converged
         replication = False
     else:
-        config = SolverConfig(**kwargs)
         degree = args.degree if args.degree is not None else _DEFAULT_DEGREE
-        sol = picard_solve(spec, degree, config)
+        sol = picard_solve(spec, degree, SolverConfig(**kwargs))
         converged = sol.converged
         replication = args.fixed_iters is not None
 
-    a, b = spec.domain
-    rule = gauss_legendre(config.quad_order or default_order(sol.basis.degree), a, b)
-    res = residual_norm(spec, sol, sol.basis, rule)
+    res = residual_norm(spec, sol, sol.basis, sol.rule)
     print(
         f"degree {sol.basis.degree}, {sol.iterations_used} iterations, "
         f"converged={converged}, residual={res:.3e}",

@@ -17,9 +17,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .assembly import _Workspace, assemble_linear, assemble_nonlinear_rhs
-from .basis import BernsteinBasis
+from .basis import MAX_DEGREE, BernsteinBasis
 from .errors import DivergenceError, NonConvergenceError, SingularSystemError
-from .quadrature import default_order, gauss_legendre
+from .quadrature import QuadratureRule, default_order, gauss_legendre
 
 # relative pivot threshold below which elimination refuses to continue
 _PIVOT_RTOL = 1e-13
@@ -37,7 +37,8 @@ class SolverConfig:
     converged; degree_tol plays the same role between consecutive degrees in
     refine_solve.  fixed_iters, when set, runs exactly that many lagged
     iterations after the bootstrap regardless of picard_tol (replication
-    mode).  quad_order overrides the max(24, 2n) assembly default.
+    mode).  quad_order overrides the max(24, 2n) assembly default.  A grid of
+    two points sees only the ends, where every interior member vanishes.
     """
 
     picard_tol: float = 1e-10
@@ -50,23 +51,29 @@ class SolverConfig:
     quad_order: "int | None" = None
 
     def __post_init__(self):
-        if not (self.picard_tol > 0 and self.degree_tol > 0):  # NaN fails too
-            raise ValueError("tolerances must be positive")
+        if not (0 < self.picard_tol < np.inf and 0 < self.degree_tol < np.inf):  # NaN fails too
+            raise ValueError("tolerances must be positive and finite")
         if self.max_picard_iters < 1:
             raise ValueError("max_picard_iters must be >= 1")
         if self.fixed_iters is not None and self.fixed_iters < 0:
             raise ValueError("fixed_iters must be >= 0")
-        if self.grid_points < 2:
-            raise ValueError("grid_points must be >= 2")
+        if self.grid_points < 3:
+            raise ValueError("grid_points must be >= 3")
         if self.min_degree < 3 or self.max_degree < self.min_degree:
             raise ValueError("need 3 <= min_degree <= max_degree")
+        if self.max_degree > MAX_DEGREE:
+            raise ValueError(f"max_degree {self.max_degree} exceeds the degree cap {MAX_DEGREE}")
         if self.quad_order is not None and self.quad_order < 1:
             raise ValueError("quad_order must be >= 1")
 
 
 @dataclass(frozen=True)
 class Solution:
-    """Offsets plus interior coefficients for the pair of unknowns."""
+    """Offsets plus interior coefficients for the pair of unknowns.
+
+    picard_solve also fills rule, the quadrature it assembled with, and
+    grid_values, p and q as evaluate gives them on linspace(a, b, grid_points).
+    """
 
     basis: BernsteinBasis
     offset_p: object
@@ -75,10 +82,14 @@ class Solution:
     coeffs_q: np.ndarray
     iterations_used: int
     converged: bool
+    rule: "QuadratureRule | None" = None
+    grid_values: "np.ndarray | None" = None
 
     def __post_init__(self):
         self.coeffs_p.setflags(write=False)
         self.coeffs_q.setflags(write=False)
+        if self.grid_values is not None:
+            self.grid_values.setflags(write=False)
 
     def evaluate(self, x, which="p", order=0):
         """Trial function value theta^(order) + sum c_j B_j^(order) at x.
@@ -189,7 +200,7 @@ def picard_solve(spec, degree, config=None, offsets=None):
     """Solve one problem at a fixed trial degree.
 
     The bootstrap solves the linear system with the nonlinear load zeroed;
-    linear problems return right there.  Otherwise, lagged iterations run
+    linear problems stop right there.  Otherwise, lagged iterations run
     until both unknowns move less than picard_tol on the evaluation grid (or
     for exactly fixed_iters steps in replication mode).
 
@@ -224,18 +235,18 @@ def picard_solve(spec, degree, config=None, offsets=None):
             f"{default_order(degree)})",
         ) from err
     c = _lu_solve(factors, system.rhs)
+    converged = spec.is_linear
     sol = Solution(
         basis=basis, offset_p=ws.theta["p"], offset_q=ws.theta["q"],
-        coeffs_p=c[:m], coeffs_q=c[m:], iterations_used=0,
-        converged=spec.is_linear,
+        coeffs_p=c[:m], coeffs_q=c[m:], iterations_used=0, converged=converged,
     )
-    if spec.is_linear or config.fixed_iters == 0:
-        return sol
-
-    # grid values of both unknowns as one 2 x P array, from one table
+    target = 0 if converged else (
+        config.fixed_iters if config.fixed_iters is not None else config.max_picard_iters
+    )
     grid_offsets = np.array([ws.theta[u].value(grid) for u in "pq"])
+    # one 2-row product per iteration for the distance test; the returned
+    # grid values below use evaluate's per-unknown product, bit for bit
     prev_vals = grid_offsets + c.reshape(2, m) @ ws.grid_table
-    target = config.fixed_iters if config.fixed_iters is not None else config.max_picard_iters
     distances = []
     for k in range(1, target + 1):
         nl = assemble_nonlinear_rhs(spec, basis, rule, sol, workspace=ws)
@@ -250,17 +261,19 @@ def picard_solve(spec, degree, config=None, offsets=None):
         if not np.isfinite(dist):
             raise DivergenceError(k, "iterate distance became non-finite")
         converged = dist < config.picard_tol
-        if config.fixed_iters is not None:
-            if k == config.fixed_iters:
-                return replace(sol, converged=converged)
-        elif converged:
-            return replace(sol, converged=True)
+        if k == config.fixed_iters or (converged and config.fixed_iters is None):
+            break
         if (
             len(distances) > _DIVERGENCE_WINDOW
             and distances[-1] > _DIVERGENCE_FACTOR * distances[-1 - _DIVERGENCE_WINDOW]
         ):
             raise DivergenceError(k)
-    raise NonConvergenceError(target, distances[-2:])
+    else:
+        if target:
+            raise NonConvergenceError(target, distances[-2:])
+    pairs = zip(grid_offsets, (sol.coeffs_p, sol.coeffs_q))
+    grid_values = np.array([off + coeffs @ ws.grid_table for off, coeffs in pairs])
+    return replace(sol, converged=converged, rule=rule, grid_values=grid_values)
 
 
 def refine_solve(spec, config=None):
@@ -271,24 +284,12 @@ def refine_solve(spec, config=None):
     flag is False and the highest-degree solution is returned.
     """
     config = config or SolverConfig()
-    a, b = spec.domain
-    grid = np.linspace(a, b, config.grid_points)
-    degrees, distances = [], []
-    prev_sol = prev_vals = None
+    degrees, distances, sol = [], [], None
     for degree in range(config.min_degree, config.max_degree + 1):
-        sol = picard_solve(spec, degree, config)
-        table = sol.basis.interior_table(grid)
-        vals = np.array([
-            theta.value(grid) + coeffs @ table
-            for theta, coeffs in ((sol.offset_p, sol.coeffs_p), (sol.offset_q, sol.coeffs_q))
-        ])
+        prev, sol = sol, picard_solve(spec, degree, config)
         degrees.append(degree)
-        if prev_sol is None:
-            distances.append(None)
-        else:
-            dist = float(np.max(np.abs(vals - prev_vals)))
-            distances.append(dist)
-            if dist < config.degree_tol:
-                return sol, DegreeHistory(degrees, distances, converged=True)
-        prev_sol, prev_vals = sol, vals
-    return prev_sol, DegreeHistory(degrees, distances, converged=False)
+        dist = None if prev is None else float(np.max(np.abs(sol.grid_values - prev.grid_values)))
+        distances.append(dist)
+        if dist is not None and dist < config.degree_tol:
+            return sol, DegreeHistory(degrees, distances, converged=True)
+    return sol, DegreeHistory(degrees, distances, converged=False)

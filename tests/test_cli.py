@@ -432,6 +432,48 @@ class TestRunSolve:
         assert status == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--degree", "5", "--grid", "2"], "grid_points must be >= 3"),
+        (["--degree", "5", "--tol-picard", "inf"], "tolerances must be positive and finite"),
+        (["--sweep", "3..12", "--tol-degree", "inf"], "tolerances must be positive and finite"),
+    ])
+    def test_vacuous_convergence_settings_rejected(self, capsys, flags, message):
+        assert run(["solve", "--preset", "example1"] + flags) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_sweep_past_the_degree_cap_solves_nothing(self, capsys, monkeypatch):
+        solved = []
+        monkeypatch.setattr(gb.solver, "picard_solve", lambda *args: solved.append(args))
+        status = run(["solve", "--preset", "example1", "--sweep", "3..40", "--tol-degree", "1e-30"])
+        assert status == 1
+        assert capsys.readouterr().err == "error: max_degree 40 exceeds the degree cap 30\n"
+        assert solved == []
+
+    def test_residual_uses_the_solve_rule(self, capsys, monkeypatch):
+        seen = []
+
+        def recording(spec, sol, basis, rule):
+            seen.append((sol, rule, gb.residual_norm(spec, sol, basis, rule)))
+            return seen[-1][2]
+
+        monkeypatch.setattr(gb.cli, "residual_norm", recording)
+        status = run(["solve", "--preset", "example1", "--degree", "5", "--quad-order", "30"])
+        assert status == 0
+        ((sol, rule, res),) = seen
+        assert rule.order == 30
+        spec = preset("example1")
+        assert res == gb.residual_norm(spec, sol, sol.basis, gb.gauss_legendre(30, 0.0, 1.0))
+        assert f"residual={res:.3e}" in capsys.readouterr().err
+
+    def test_help_states_accepted_ranges(self, capsys):
+        with pytest.raises(SystemExit):
+            run(["solve", "--help"])
+        text = " ".join(capsys.readouterr().out.split())
+        assert "trial degree, 3 to 30" in text
+        assert "within 3..30" in text
+        assert "at least 3" in text
+        assert text.count("positive and finite") == 2
+
 
 class TestShippedProblemFiles:
     """The presets are read from the package-data path; these files are the

@@ -365,6 +365,46 @@ class TestEvalSolution:
             sol.coeffs_p[0] = 1.0
 
 
+class TestSolutionCarriesRuleAndGrid:
+    CASES = [
+        ("example3", 8, SolverConfig()),  # linear: the bootstrap is the answer
+        ("example1", 5, SolverConfig(fixed_iters=0)),
+        ("example1", 5, SolverConfig(fixed_iters=5)),
+        ("example2", 12, SolverConfig()),
+        ("example4", 9, SolverConfig(quad_order=12, grid_points=37)),
+    ]
+
+    @pytest.mark.parametrize("name, degree, config", CASES)
+    def test_grid_values_are_evaluate_on_the_grid(self, name, degree, config):
+        spec = preset(name)
+        sol = picard_solve(spec, degree, config)
+        grid = np.linspace(*spec.domain, config.grid_points)
+        expected = np.array([sol.evaluate(grid, "p"), sol.evaluate(grid, "q")])
+        assert sol.grid_values.shape == (2, config.grid_points)
+        assert sol.grid_values.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("name, degree, config", CASES)
+    def test_rule_is_the_assembly_rule(self, name, degree, config):
+        spec = preset(name)
+        sol = picard_solve(spec, degree, config)
+        assert sol.rule.order == (config.quad_order or default_order(degree))
+        expected = gauss_legendre(sol.rule.order, *spec.domain)
+        assert sol.rule.points.tobytes() == expected.points.tobytes()
+
+    def test_grid_values_are_read_only(self):
+        sol = picard_solve(preset("example1"), 4)
+        with pytest.raises(ValueError):
+            sol.grid_values[0, 0] = 1.0
+
+    def test_hand_built_solution_has_neither(self):
+        sol = picard_solve(preset("example1"), 4)
+        bare = gb.Solution(
+            basis=sol.basis, offset_p=sol.offset_p, offset_q=sol.offset_q,
+            coeffs_p=sol.coeffs_p, coeffs_q=sol.coeffs_q, iterations_used=0, converged=True,
+        )
+        assert bare.rule is None and bare.grid_values is None
+
+
 class TestRefineSolve:
     def test_example1_sweep_stops_after_entering_the_trial_space(self):
         spec = preset("example1")
@@ -412,6 +452,21 @@ class TestRefineSolve:
         assert sol.basis.degree == 4
         assert len(history.degrees) == 2
 
+    def test_one_grid_table_per_degree(self, monkeypatch):
+        # the sweep compares the grid values each solve returns; it builds
+        # no basis table of its own
+        calls = []
+        original = gb.BernsteinBasis.interior_table
+
+        def counting(self, x, order=0):
+            calls.append(self.degree)
+            return original(self, x, order)
+
+        monkeypatch.setattr(gb.BernsteinBasis, "interior_table", counting)
+        _, history = refine_solve(preset("example1"), SolverConfig(min_degree=3, max_degree=6))
+        assert history.degrees == [3, 4, 5]
+        assert calls == history.degrees
+
 
 class TestSolverConfig:
     def test_rejects_bad_values(self):
@@ -435,3 +490,14 @@ class TestSolverConfig:
             SolverConfig(picard_tol=float("nan"))
         with pytest.raises(ValueError):
             SolverConfig(degree_tol=float("nan"))
+        with pytest.raises(ValueError, match="positive and finite"):
+            SolverConfig(picard_tol=float("inf"))
+        with pytest.raises(ValueError, match="positive and finite"):
+            SolverConfig(degree_tol=float("inf"))
+        with pytest.raises(ValueError, match="grid_points must be >= 3"):
+            SolverConfig(grid_points=2)
+        with pytest.raises(ValueError, match="max_degree 31 exceeds the degree cap 30"):
+            SolverConfig(max_degree=31)
+
+    def test_accepts_the_edge_values(self):
+        SolverConfig(grid_points=3, min_degree=30, max_degree=30, picard_tol=1e300)
