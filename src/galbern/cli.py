@@ -269,8 +269,7 @@ def error_table(spec, sol):
     state = ex.PointState(x=np.array(xs))
     p_exact = ex.evaluate(spec.exact_p, state).tolist()
     q_exact = ex.evaluate(spec.exact_q, state).tolist()
-    p_approx = sol.evaluate(xs, "p").tolist()
-    q_approx = sol.evaluate(xs, "q").tolist()
+    p_approx, q_approx = sol.evaluate(xs, "pq").tolist()
     return ErrorTable(xs, p_exact, p_approx, q_exact, q_approx)
 
 
@@ -312,7 +311,7 @@ def format_csv(table):
 def format_samples(sol, domain, as_csv=False):
     """Fallback report when no exact solution is available."""
     xs = sample_points(domain)
-    rows = list(zip(xs, sol.evaluate(xs, "p").tolist(), sol.evaluate(xs, "q").tolist()))
+    rows = list(zip(xs, *sol.evaluate(xs, "pq").tolist()))
     if as_csv:
         return _csv_text(["x", "p_approx", "q_approx"], rows)
     lines = [f"{'x':>6} {'p approx':>18} {'q approx':>18}"]

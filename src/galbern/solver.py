@@ -6,8 +6,10 @@ same matrix against the linear load plus the nonlinear load evaluated on the
 previous iterate.  The discretization (basis tables, offset values) is built
 once per solve, and the matrix is LU-factorized once by a hand-written
 pivoted elimination that refuses negligible pivots.  Each iteration then
-costs one vectorized expression evaluation per nonlinear term and LAPACK
-triangular substitutions on those factors.  Successive iterates are compared
+costs one vectorized expression evaluation per nonlinear term and one
+substitution of the current defect on those factors (two np.linalg.solve
+calls, each a LAPACK dgesv on a triangular factor), which also serves as the
+refinement step of the linear solve.  Successive iterates are compared
 in the sup norm on a uniform evaluation grid, and the same measure compares
 solutions of consecutive degrees in a refinement sweep.
 """
@@ -94,18 +96,20 @@ class Solution:
     def evaluate(self, x, which="p", order=0):
         """Trial function value theta^(order) + sum c_j B_j^(order) at x.
 
-        which selects 'p' or 'q'; order is 0, 1 or 2.  x may be a scalar or
-        array inside the domain.
+        which selects 'p' or 'q', or 'pq' for both as the rows of one array
+        from one basis table; order is 0, 1 or 2.  x may be a scalar or array
+        inside the domain.
         """
-        if which not in ("p", "q"):
-            raise ValueError(f"which must be 'p' or 'q', got {which!r}")
+        if which not in ("p", "q", "pq"):
+            raise ValueError(f"which must be 'p', 'q' or 'pq', got {which!r}")
         if order not in (0, 1, 2):
             raise ValueError(f"order must be 0, 1 or 2, got {order!r}")
-        theta = self.offset_p if which == "p" else self.offset_q
-        coeffs = self.coeffs_p if which == "p" else self.coeffs_q
         table = self.basis.interior_table(x, order)
-        out = theta.value(x, order) + coeffs @ table
-        return float(out[0]) if np.isscalar(x) else out
+        parts = {"p": (self.offset_p, self.coeffs_p), "q": (self.offset_q, self.coeffs_q)}
+        rows = [theta.value(x, order) + coeffs @ table for theta, coeffs in map(parts.get, which)]
+        if np.isscalar(x):
+            rows = [float(row[0]) for row in rows]
+        return rows[0] if len(which) == 1 else np.array(rows)
 
 
 @dataclass(frozen=True)
@@ -154,20 +158,22 @@ def _lu_factor(A0):
     return A0, L, np.triu(A), np.array(perm)
 
 
-def _lu_solve(factors, b0):
-    """Solve with the factors of _lu_factor plus one step of refinement.
+def _lu_substitute(factors, r):
+    """(LU)^-1 applied to r, with the factors of _lu_factor.
 
-    Each np.linalg.solve call is a plain triangular substitution: LAPACK's
-    partial pivoting swaps no rows of L (unit diagonal, |L_ik| <= 1) or of U
-    (zeros below the diagonal), and its elimination leaves them unchanged.
+    Each np.linalg.solve call is a LAPACK dgesv on the triangular factor: it
+    factors the factor afresh (its partial pivoting swaps no rows of L, unit
+    diagonal with |L_ik| <= 1, or of U, zeros below the diagonal) and then
+    substitutes, so one call costs an O(m^3) elimination, not a substitution.
     """
-    A0, L, U, perm = factors
+    _, L, U, perm = factors
+    return np.linalg.solve(U, np.linalg.solve(L, r[perm]))
 
-    def substitute(rhs_vec):
-        return np.linalg.solve(U, np.linalg.solve(L, rhs_vec[perm]))
 
-    x = substitute(b0)
-    x += substitute(b0 - A0 @ x)
+def _lu_solve(factors, b0):
+    """Solve with the factors of _lu_factor plus one step of refinement."""
+    x = _lu_substitute(factors, b0)
+    x += _lu_substitute(factors, b0 - factors[0] @ x)
     return x
 
 
@@ -210,8 +216,9 @@ def picard_solve(spec, degree, config=None, offsets=None):
 
     Raises:
         NonConvergenceError: iteration budget exhausted.
-        DivergenceError: iterate distances grew by 10x across a window of
-            five iterations, or the iterate stopped being finite.
+        DivergenceError: an iterate distance at or above picard_tol was 10x
+            the one five iterations before, or the iterate stopped being
+            finite.
     """
     config = config or SolverConfig()
     a, b = spec.domain
@@ -250,7 +257,9 @@ def picard_solve(spec, degree, config=None, offsets=None):
     distances = []
     for k in range(1, target + 1):
         nl = assemble_nonlinear_rhs(spec, basis, rule, sol, workspace=ws)
-        c = _lu_solve(factors, system.rhs + nl)
+        # defect correction: the lagged step c = K^-1 (rhs + nl) with the
+        # refinement folded in, one substitution per iteration
+        c = c + _lu_substitute(factors, system.rhs + nl - system.matrix @ c)
         if not np.all(np.isfinite(c)):
             raise DivergenceError(k, "iterate became non-finite")
         sol = replace(sol, coeffs_p=c[:m], coeffs_q=c[m:], iterations_used=k)
@@ -263,8 +272,9 @@ def picard_solve(spec, degree, config=None, offsets=None):
         converged = dist < config.picard_tol
         if k == config.fixed_iters or (converged and config.fixed_iters is None):
             break
-        if (
-            len(distances) > _DIVERGENCE_WINDOW
+        if (  # past convergence the distances only jitter at round-off
+            dist >= config.picard_tol
+            and len(distances) > _DIVERGENCE_WINDOW
             and distances[-1] > _DIVERGENCE_FACTOR * distances[-1 - _DIVERGENCE_WINDOW]
         ):
             raise DivergenceError(k)

@@ -12,7 +12,7 @@ import sympy as sp
 
 import galbern as gb
 from galbern import ProblemFileError, dump_problem, load_problem, load_sixth_order, preset
-from galbern.cli import PRESETS, error_table, run, sample_points
+from galbern.cli import PRESETS, error_table, format_samples, run, sample_points
 
 PROBLEMS_DIR = Path(__file__).resolve().parent.parent / "problems"
 from galbern.expr import BinOp, Neg, Num, Pow, Var
@@ -297,6 +297,26 @@ class TestErrorTable:
         assert all(e >= 0 for e in table.p_error)
         assert all(e >= 0 for e in table.q_error)
 
+    def test_one_basis_table_per_report(self, monkeypatch):
+        spec = preset("example2")
+        sol = gb.picard_solve(spec, 12)
+        calls = []
+        original = gb.BernsteinBasis.interior_table
+
+        def counting(self, x, order=0):
+            calls.append(len(x))
+            return original(self, x, order)
+
+        monkeypatch.setattr(gb.BernsteinBasis, "interior_table", counting)
+        table = error_table(spec, sol)
+        samples = format_samples(sol, spec.domain, as_csv=True)
+        assert calls == [9, 9]
+        assert table.p_approx == sol.evaluate(table.xs, "p").tolist()
+        assert table.q_approx == sol.evaluate(table.xs, "q").tolist()
+        assert samples.splitlines()[1:] == [
+            f"{x!r},{p!r},{q!r}" for x, p, q in zip(table.xs, table.p_approx, table.q_approx)
+        ]
+
     def test_requires_exact_expressions(self):
         spec = preset("example1")
         bare = gb.ProblemSpec(
@@ -390,6 +410,12 @@ class TestRunSolve:
         status = run(["solve", path, "--degree", "3"])
         assert status == 1
         assert "diverged" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name, degree", [("example4", 25), ("example1", 27)])
+    def test_replication_past_convergence_exits_zero(self, capsys, name, degree):
+        status = run(["solve", "--preset", name, "--degree", str(degree), "--fixed-iters", "30"])
+        assert status == 0
+        assert f"degree {degree}, 30 iterations, converged=True" in capsys.readouterr().err
 
     def test_bad_sweep_spec(self, capsys):
         assert run(["solve", "--preset", "example1", "--sweep", "3-5"]) == 1

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,7 @@ from galbern import (
     refine_solve,
     solve_dense,
 )
-from galbern.assembly import assemble_linear
+from galbern.assembly import assemble_linear, assemble_nonlinear_rhs, residual_norm
 from galbern.cli import preset
 from galbern.quadrature import default_order, gauss_legendre
 from galbern.solver import _PIVOT_RTOL, _lu_factor
@@ -325,6 +327,76 @@ class TestPicardSolve:
                     assert lo <= hi, (name, errors)
 
 
+class TestDefectCorrectionIteration:
+    # each lagged step is c + (LU)^-1 (rhs + N(c) - K c): the recurrence
+    # c = K^-1 (rhs + N(c)) with its refinement step folded in
+    COUNTS = {  # degrees 3..30
+        "example1": [16, 13, 11, 11, 10] + [9] * 23,
+        "example2": [16, 15, 14] + [13] * 25,
+        "example4": [4] * 28,
+    }
+
+    @pytest.mark.parametrize("name, degree", [("example1", 3), ("example2", 8), ("example2", 12)])
+    def test_fixed_iterates_are_the_plain_lagged_recurrence(self, name, degree):
+        spec = preset(name)
+        sol = picard_solve(spec, degree, SolverConfig(fixed_iters=5))
+        system = assemble_linear(spec, sol.basis, sol.rule)
+        m = system.size
+        c = solve_dense(system.matrix, system.rhs)
+        for _ in range(5):
+            lagged = replace(sol, coeffs_p=c[:m], coeffs_q=c[m:])
+            nl = assemble_nonlinear_rhs(spec, sol.basis, sol.rule, lagged)
+            c = solve_dense(system.matrix, system.rhs + nl)
+        assert np.max(np.abs(np.concatenate([sol.coeffs_p, sol.coeffs_q]) - c)) <= 1e-12
+
+    @pytest.mark.parametrize("name", sorted(COUNTS))
+    def test_iteration_counts_at_every_degree(self, name):
+        spec = preset(name)
+        counts = [picard_solve(spec, n).iterations_used for n in range(3, 31)]
+        assert counts == self.COUNTS[name]
+
+    @pytest.mark.parametrize("degree", [12, 30])
+    @pytest.mark.parametrize("name", ["example1", "example2", "example4"])
+    def test_fixed_point_residual_at_round_off(self, name, degree):
+        spec = preset(name)
+        sol = picard_solve(spec, degree, SolverConfig(fixed_iters=40))
+        assert residual_norm(spec, sol, sol.basis, sol.rule) <= 1e-13
+
+    def test_one_substitution_per_iteration(self, monkeypatch):
+        calls = []
+        original = np.linalg.solve
+
+        def counting(a, b):
+            calls.append(a.shape)
+            return original(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", counting)
+        sol = picard_solve(preset("example2"), 30)
+        assert sol.iterations_used == 13
+        # the bootstrap substitutes twice (solve and refinement), each
+        # iteration once; a substitution is two triangular np.linalg.solve calls
+        assert len(calls) == 4 + 2 * 13
+
+    @pytest.mark.parametrize("name", ["example1", "example2", "example4"])
+    def test_replication_runs_past_convergence(self, name):
+        # once converged the distances only jitter at round-off, which is
+        # not divergence however much they grow relative to each other
+        spec = preset(name)
+        config = SolverConfig(fixed_iters=30)
+        for degree in range(3, 31):
+            assert picard_solve(spec, degree, config).iterations_used == 30, degree
+
+    def test_replication_still_detects_divergence(self):
+        spec = preset("example1")
+        explosive = ProblemSpec(
+            domain=spec.domain, p_coeffs=spec.p_coeffs, q_coeffs=spec.q_coeffs,
+            f=spec.f, g=spec.g, m1=None, m2=gb.parse("20 * (1/6 * d2p * d2q)"),
+            bc_p=spec.bc_p, bc_q=spec.bc_q,
+        )
+        with pytest.raises(DivergenceError):
+            picard_solve(explosive, 3, SolverConfig(fixed_iters=30))
+
+
 class TestEvalSolution:
     def test_boundary_value(self):
         sol = picard_solve(preset("example1"), 3)
@@ -357,7 +429,27 @@ class TestEvalSolution:
         with pytest.raises(ValueError):
             sol.evaluate(0.5, "r")
         with pytest.raises(ValueError):
+            sol.evaluate(0.5, "qp")
+        with pytest.raises(ValueError):
             sol.evaluate(0.5, "p", order=3)
+
+    @pytest.mark.parametrize("x", [np.linspace(0.05, 0.95, 9), 0.3])
+    def test_both_unknowns_from_one_table(self, monkeypatch, x):
+        sol = picard_solve(preset("example2"), 12)
+        single = [np.asarray(sol.evaluate(x, u, order=1)) for u in "pq"]
+        calls = []
+        original = gb.BernsteinBasis.interior_table
+
+        def counting(self, x, order=0):
+            calls.append(order)
+            return original(self, x, order)
+
+        monkeypatch.setattr(gb.BernsteinBasis, "interior_table", counting)
+        both = sol.evaluate(x, "pq", order=1)
+        assert calls == [1]
+        assert both.shape == (2, *np.shape(x))
+        assert both[0].tobytes() == single[0].tobytes()
+        assert both[1].tobytes() == single[1].tobytes()
 
     def test_coefficients_are_frozen(self):
         sol = picard_solve(preset("example1"), 3)
