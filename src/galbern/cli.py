@@ -346,11 +346,6 @@ def _build_argparser():
     sp.add_argument("--tol-degree", type=float, default=1e-8, metavar="TOL",
                     help="consecutive-degree tolerance for --sweep, positive and finite "
                     "(default 1e-8)")
-    sp.add_argument("--quad-order", type=int, metavar="G",
-                    help="Gauss-Legendre order (default max(24, 2n))")
-    sp.add_argument("--grid", type=int, default=101, metavar="P",
-                    help="evaluation grid points for convergence tests, at least 3 "
-                    "(default 101)")
     sp.add_argument("--format", choices=("table", "csv"), default="table")
     sp.add_argument("--out", help="write the report to a file instead of stdout")
 
@@ -385,8 +380,6 @@ def _run_solve(args):
         picard_tol=args.tol_picard,
         fixed_iters=args.fixed_iters,
         degree_tol=args.tol_degree,
-        grid_points=args.grid,
-        quad_order=args.quad_order,
     )
     if args.sweep:
         lo, hi = _parse_sweep(args.sweep)

@@ -51,14 +51,10 @@ class SingularSystemError(GalbernError, ArithmeticError):
     Attributes:
         pivot_index: elimination step at which the pivot collapsed.
         pivot_value: magnitude of that pivot.
-
-    An optional note, such as a likely cause, is appended to the message.
     """
 
-    def __init__(self, pivot_index, pivot_value, note=""):
-        super().__init__(
-            f"singular system: pivot {pivot_index} has magnitude {pivot_value:.3e}{note}"
-        )
+    def __init__(self, pivot_index, pivot_value):
+        super().__init__(f"singular system: pivot {pivot_index} has magnitude {pivot_value:.3e}")
         self.pivot_index = pivot_index
         self.pivot_value = pivot_value
 

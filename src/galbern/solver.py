@@ -30,6 +30,9 @@ _PIVOT_RTOL = 1e-13
 _DIVERGENCE_WINDOW = 5
 _DIVERGENCE_FACTOR = 10.0
 
+# points of the uniform grid on which iterates and degrees are compared
+_GRID_POINTS = 101
+
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -39,18 +42,17 @@ class SolverConfig:
     converged; degree_tol plays the same role between consecutive degrees in
     refine_solve.  fixed_iters, when set, runs exactly that many lagged
     iterations after the bootstrap regardless of picard_tol (replication
-    mode).  quad_order overrides the max(24, 2n) assembly default.  A grid of
-    two points sees only the ends, where every interior member vanishes.
+    mode).  Assembly always uses the max(24, 2n)-point Gauss rule, which
+    integrates every polynomial Galerkin integrand exactly, and distances are
+    measured on a uniform grid of 101 points.
     """
 
     picard_tol: float = 1e-10
     max_picard_iters: int = 50
     fixed_iters: "int | None" = None
     degree_tol: float = 1e-8
-    grid_points: int = 101
     min_degree: int = 3
     max_degree: int = 12
-    quad_order: "int | None" = None
 
     def __post_init__(self):
         if not (0 < self.picard_tol < np.inf and 0 < self.degree_tol < np.inf):  # NaN fails too
@@ -59,14 +61,10 @@ class SolverConfig:
             raise ValueError("max_picard_iters must be >= 1")
         if self.fixed_iters is not None and self.fixed_iters < 0:
             raise ValueError("fixed_iters must be >= 0")
-        if self.grid_points < 3:
-            raise ValueError("grid_points must be >= 3")
         if self.min_degree < 3 or self.max_degree < self.min_degree:
             raise ValueError("need 3 <= min_degree <= max_degree")
         if self.max_degree > MAX_DEGREE:
             raise ValueError(f"max_degree {self.max_degree} exceeds the degree cap {MAX_DEGREE}")
-        if self.quad_order is not None and self.quad_order < 1:
-            raise ValueError("quad_order must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -74,7 +72,7 @@ class Solution:
     """Offsets plus interior coefficients for the pair of unknowns.
 
     picard_solve also fills rule, the quadrature it assembled with, and
-    grid_values, p and q as evaluate gives them on linspace(a, b, grid_points).
+    grid_values, p and q as evaluate gives them on linspace(a, b, 101).
     """
 
     basis: BernsteinBasis
@@ -223,24 +221,13 @@ def picard_solve(spec, degree, config=None, offsets=None):
     config = config or SolverConfig()
     a, b = spec.domain
     basis = BernsteinBasis(degree, (a, b))
-    rule = gauss_legendre(config.quad_order or default_order(degree), a, b)
-    grid = np.linspace(a, b, config.grid_points)
+    rule = gauss_legendre(default_order(degree), a, b)
+    grid = np.linspace(a, b, _GRID_POINTS)
     ws = _Workspace(spec, basis, rule, offsets, grid)
 
     system = assemble_linear(spec, basis, rule, workspace=ws)
     m = system.size
-    try:
-        factors = _lu_factor(system.matrix)
-    except SingularSystemError as err:
-        g = len(rule.points)
-        if g >= degree:
-            raise
-        raise SingularSystemError(
-            err.pivot_index, err.pivot_value,
-            note=f"; quadrature order {g} cannot integrate the degree-{degree} "
-            f"Galerkin integrands exactly (the default is max(24, 2n) = "
-            f"{default_order(degree)})",
-        ) from err
+    factors = _lu_factor(system.matrix)
     c = _lu_solve(factors, system.rhs)
     converged = spec.is_linear
     sol = Solution(
@@ -250,25 +237,19 @@ def picard_solve(spec, degree, config=None, offsets=None):
     target = 0 if converged else (
         config.fixed_iters if config.fixed_iters is not None else config.max_picard_iters
     )
-    grid_offsets = np.array([ws.theta[u].value(grid) for u in "pq"])
-    # one 2-row product per iteration for the distance test; the returned
-    # grid values below use evaluate's per-unknown product, bit for bit
-    prev_vals = grid_offsets + c.reshape(2, m) @ ws.grid_table
     distances = []
     for k in range(1, target + 1):
         nl = assemble_nonlinear_rhs(spec, basis, rule, sol, workspace=ws)
         # defect correction: the lagged step c = K^-1 (rhs + nl) with the
         # refinement folded in, one substitution per iteration
-        c = c + _lu_substitute(factors, system.rhs + nl - system.matrix @ c)
+        step = _lu_substitute(factors, system.rhs + nl - system.matrix @ c)
+        c = c + step
         if not np.all(np.isfinite(c)):
             raise DivergenceError(k, "iterate became non-finite")
         sol = replace(sol, coeffs_p=c[:m], coeffs_q=c[m:], iterations_used=k)
-        vals = grid_offsets + c.reshape(2, m) @ ws.grid_table
-        dist = float(np.max(np.abs(vals - prev_vals)))
-        prev_vals = vals
+        # iterates share their offsets, so on the grid they differ by the step
+        dist = float(np.max(np.abs(step.reshape(2, m) @ ws.grid_table)))
         distances.append(dist)
-        if not np.isfinite(dist):
-            raise DivergenceError(k, "iterate distance became non-finite")
         converged = dist < config.picard_tol
         if k == config.fixed_iters or (converged and config.fixed_iters is None):
             break
@@ -281,8 +262,8 @@ def picard_solve(spec, degree, config=None, offsets=None):
     else:
         if target:
             raise NonConvergenceError(target, distances[-2:])
-    pairs = zip(grid_offsets, (sol.coeffs_p, sol.coeffs_q))
-    grid_values = np.array([off + coeffs @ ws.grid_table for off, coeffs in pairs])
+    pairs = zip("pq", (sol.coeffs_p, sol.coeffs_q))  # evaluate's product, bit for bit
+    grid_values = np.array([ws.theta[u].value(grid) + cu @ ws.grid_table for u, cu in pairs])
     return replace(sol, converged=converged, rule=rule, grid_values=grid_values)
 
 

@@ -420,12 +420,6 @@ class TestRunSolve:
     def test_bad_sweep_spec(self, capsys):
         assert run(["solve", "--preset", "example1", "--sweep", "3-5"]) == 1
 
-    def test_quad_order_flag(self, capsys):
-        status = run([
-            "solve", "--preset", "example1", "--degree", "3", "--quad-order", "40",
-        ])
-        assert status == 0
-
     @pytest.mark.parametrize("section,key,raw", [
         ("bc.p", "value_b", "nan"), ("bc.q", "value_b", "nan"), ("bc.p", "value_a", "inf"),
         ("bc.p", "value_b", "-inf"), ("bc.q", "deriv_a", "nan"), ("domain", "b", "inf"),
@@ -438,28 +432,27 @@ class TestRunSolve:
         err = capsys.readouterr().err
         assert err == f"error: [{section}] {key}: not a finite number: {raw!r}\n"
 
-    @pytest.mark.parametrize("degree,quad_order", [("5", "1"), ("12", "5")])
-    def test_too_coarse_quad_order_named(self, capsys, degree, quad_order):
-        status = run([
-            "solve", "--preset", "example1", "--degree", degree, "--quad-order", quad_order,
-        ])
-        assert status == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: singular system: pivot ")
-        assert f"quadrature order {quad_order}" in err
-        assert "max(24, 2n)" in err
+    def test_singular_system_exits_with_its_pivot(self, tmp_path, capsys):
+        # a6 = 1e20 dwarfs the rest of K, so its first pivot falls below the threshold
+        text = (PROBLEMS_DIR / "example1.prob").read_text()
+        assert text.count("a6 = x\n") == 1
+        path = write_problem(tmp_path, text.replace("a6 = x\n", "a6 = 1e20\n"), "singular.prob")
+        assert run(["solve", path, "--degree", "5"]) == 1
+        message = "error: singular system: pivot 0 has magnitude 1.250e+01\n"
+        assert capsys.readouterr().err == message
 
-    def test_quad_order_equal_to_degree_solves(self, capsys):
-        status = run(["solve", "--preset", "example1", "--degree", "12", "--quad-order", "12"])
-        assert status == 0
-
-    def test_quad_order_zero_rejected(self, capsys):
-        status = run(["solve", "--preset", "example1", "--degree", "5", "--quad-order", "0"])
-        assert status == 1
-        assert "error:" in capsys.readouterr().err
+    @pytest.mark.parametrize("flag", ["--quad-order", "--grid"])
+    def test_removed_discretization_flags_are_refused(self, capsys, flag):
+        # a Gauss order below the degree can give a wrong answer with exit 0
+        with pytest.raises(SystemExit) as info:
+            run(["solve", "--preset", "example2", "--degree", "12", flag, "5"])
+        assert info.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.endswith(f"error: unrecognized arguments: {flag}\n")
 
     @pytest.mark.parametrize("flags, message", [
-        (["--degree", "5", "--grid", "2"], "grid_points must be >= 3"),
+        (["--degree", "5", "--tol-picard", "1e999"], "tolerances must be positive and finite"),
         (["--degree", "5", "--tol-picard", "inf"], "tolerances must be positive and finite"),
         (["--sweep", "3..12", "--tol-degree", "inf"], "tolerances must be positive and finite"),
     ])
@@ -483,12 +476,13 @@ class TestRunSolve:
             return seen[-1][2]
 
         monkeypatch.setattr(gb.cli, "residual_norm", recording)
-        status = run(["solve", "--preset", "example1", "--degree", "5", "--quad-order", "30"])
+        status = run(["solve", "--preset", "example1", "--degree", "5"])
         assert status == 0
         ((sol, rule, res),) = seen
-        assert rule.order == 30
+        assert rule.order == gb.default_order(5)
         spec = preset("example1")
-        assert res == gb.residual_norm(spec, sol, sol.basis, gb.gauss_legendre(30, 0.0, 1.0))
+        expected = gb.gauss_legendre(gb.default_order(5), 0.0, 1.0)
+        assert res == gb.residual_norm(spec, sol, sol.basis, expected)
         assert f"residual={res:.3e}" in capsys.readouterr().err
 
     def test_help_states_accepted_ranges(self, capsys):
@@ -497,8 +491,16 @@ class TestRunSolve:
         text = " ".join(capsys.readouterr().out.split())
         assert "trial degree, 3 to 30" in text
         assert "within 3..30" in text
-        assert "at least 3" in text
         assert text.count("positive and finite") == 2
+
+    def test_readme_synopsis_lists_the_solve_options(self, capsys):
+        readme = (PROBLEMS_DIR.parent / "README.md").read_text()
+        synopsis = re.search(r"^galbern solve .*?(?=^galbern reduce )", readme, re.M | re.S)
+        with pytest.raises(SystemExit):
+            run(["solve", "--help"])
+        long_option = r"--[a-z][a-z-]*"
+        helped = set(re.findall(long_option, capsys.readouterr().out)) - {"--help"}
+        assert set(re.findall(long_option, synopsis.group(0))) == helped
 
 
 class TestShippedProblemFiles:

@@ -18,7 +18,7 @@ from galbern import (
 from galbern.assembly import assemble_linear, assemble_nonlinear_rhs, residual_norm
 from galbern.cli import preset
 from galbern.quadrature import default_order, gauss_legendre
-from galbern.solver import _PIVOT_RTOL, _lu_factor
+from galbern.solver import _GRID_POINTS, _PIVOT_RTOL, _lu_factor
 
 # reference coefficients in the display basis x(1-x)^2, x^2(1-x); the first
 # pair is the discrete fixed point (iterated to machine convergence), the
@@ -276,15 +276,6 @@ class TestPicardSolve:
             assert sol.evaluate(a, "q") == pytest.approx(spec.bc_q.value_a, abs=1e-12)
             assert sol.evaluate(b, "q") == pytest.approx(spec.bc_q.value_b, abs=1e-12)
 
-    @pytest.mark.parametrize("degree,quad_order,pivot", [(5, 1, 1), (12, 5, 5)])
-    def test_too_coarse_quadrature_named(self, degree, quad_order, pivot):
-        with pytest.raises(SingularSystemError) as info:
-            picard_solve(preset("example1"), degree, SolverConfig(quad_order=quad_order))
-        message = str(info.value)
-        assert message.startswith(f"singular system: pivot {pivot} has magnitude ")
-        assert f"quadrature order {quad_order} cannot integrate the degree-{degree}" in message
-        assert info.value.pivot_index == pivot
-
     def test_non_convergence_error(self):
         # quintupling the nonlinear term sends the contraction ratio past 1;
         # the iteration wanders without blowing up fast
@@ -297,6 +288,16 @@ class TestPicardSolve:
         with pytest.raises(NonConvergenceError) as info:
             picard_solve(harder, 3, SolverConfig(max_picard_iters=30))
         assert len(info.value.last_distances) == 2
+
+    def test_distances_are_between_successive_iterates(self):
+        spec = preset("example2")
+        with pytest.raises(NonConvergenceError) as info:
+            picard_solve(spec, 12, SolverConfig(max_picard_iters=3))
+        G1, G2, G3 = (
+            picard_solve(spec, 12, SolverConfig(fixed_iters=k)).grid_values for k in (1, 2, 3)
+        )
+        expected = [np.max(np.abs(G2 - G1)), np.max(np.abs(G3 - G2))]
+        assert info.value.last_distances == pytest.approx(expected, rel=1e-12, abs=0)
 
     def test_divergence_error(self):
         spec = preset("example1")
@@ -463,23 +464,23 @@ class TestSolutionCarriesRuleAndGrid:
         ("example1", 5, SolverConfig(fixed_iters=0)),
         ("example1", 5, SolverConfig(fixed_iters=5)),
         ("example2", 12, SolverConfig()),
-        ("example4", 9, SolverConfig(quad_order=12, grid_points=37)),
+        ("example4", 9, SolverConfig()),
     ]
 
     @pytest.mark.parametrize("name, degree, config", CASES)
     def test_grid_values_are_evaluate_on_the_grid(self, name, degree, config):
         spec = preset(name)
         sol = picard_solve(spec, degree, config)
-        grid = np.linspace(*spec.domain, config.grid_points)
+        grid = np.linspace(*spec.domain, _GRID_POINTS)
         expected = np.array([sol.evaluate(grid, "p"), sol.evaluate(grid, "q")])
-        assert sol.grid_values.shape == (2, config.grid_points)
+        assert sol.grid_values.shape == (2, _GRID_POINTS)
         assert sol.grid_values.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("name, degree, config", CASES)
     def test_rule_is_the_assembly_rule(self, name, degree, config):
         spec = preset(name)
         sol = picard_solve(spec, degree, config)
-        assert sol.rule.order == (config.quad_order or default_order(degree))
+        assert sol.rule.order == default_order(degree)
         expected = gauss_legendre(sol.rule.order, *spec.domain)
         assert sol.rule.points.tobytes() == expected.points.tobytes()
 
@@ -573,11 +574,7 @@ class TestSolverConfig:
         with pytest.raises(ValueError):
             SolverConfig(min_degree=6, max_degree=5)
         with pytest.raises(ValueError):
-            SolverConfig(grid_points=1)
-        with pytest.raises(ValueError):
             SolverConfig(fixed_iters=-1)
-        with pytest.raises(ValueError):
-            SolverConfig(quad_order=0)
         with pytest.raises(ValueError):
             SolverConfig(picard_tol=float("nan"))
         with pytest.raises(ValueError):
@@ -586,10 +583,8 @@ class TestSolverConfig:
             SolverConfig(picard_tol=float("inf"))
         with pytest.raises(ValueError, match="positive and finite"):
             SolverConfig(degree_tol=float("inf"))
-        with pytest.raises(ValueError, match="grid_points must be >= 3"):
-            SolverConfig(grid_points=2)
         with pytest.raises(ValueError, match="max_degree 31 exceeds the degree cap 30"):
             SolverConfig(max_degree=31)
 
     def test_accepts_the_edge_values(self):
-        SolverConfig(grid_points=3, min_degree=30, max_degree=30, picard_tol=1e300)
+        SolverConfig(min_degree=30, max_degree=30, picard_tol=1e300)
