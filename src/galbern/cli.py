@@ -360,7 +360,10 @@ def _parse_sweep(text):
     m = re.fullmatch(r"(\d+)\.\.(\d+)", text)
     if not m:
         raise ValueError(f"--sweep expects MIN..MAX, got {text!r}")
-    return int(m.group(1)), int(m.group(2))
+    lo, hi = int(m.group(1)), int(m.group(2))
+    if lo > hi:
+        raise ValueError(f"--sweep expects MIN <= MAX, got {text!r}")
+    return lo, hi
 
 
 def _emit(text, out_path):

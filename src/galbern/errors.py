@@ -46,11 +46,12 @@ class AssemblyError(GalbernError, ArithmeticError):
 
 
 class SingularSystemError(GalbernError, ArithmeticError):
-    """Dense factorization hit a negligible pivot.
+    """Dense QR factorization left a negligible diagonal entry of R.
 
     Attributes:
-        pivot_index: elimination step at which the pivot collapsed.
-        pivot_value: magnitude of that pivot.
+        pivot_index: index k of the first diagonal entry R_kk below the
+            threshold.
+        pivot_value: magnitude |R_kk| of that entry.
     """
 
     def __init__(self, pivot_index, pivot_value):

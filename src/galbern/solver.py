@@ -4,14 +4,14 @@ A solve proceeds in two stages.  The bootstrap drops the nonlinear terms and
 solves the purely linear system once; every later iteration re-solves the
 same matrix against the linear load plus the nonlinear load evaluated on the
 previous iterate.  The discretization (basis tables, offset values) is built
-once per solve, and the matrix is LU-factorized once by a hand-written
-pivoted elimination that refuses negligible pivots.  Each iteration then
-costs one vectorized expression evaluation per nonlinear term and one
-substitution of the current defect on those factors (two np.linalg.solve
-calls, each a LAPACK dgesv on a triangular factor), which also serves as the
-refinement step of the linear solve.  Successive iterates are compared
-in the sup norm on a uniform evaluation grid, and the same measure compares
-solutions of consecutive degrees in a refinement sweep.
+once per solve, and the matrix is factored once, K = QR, by LAPACK's
+Householder QR; a negligible diagonal entry of R is refused as a singular
+system.  Each iteration then costs one vectorized expression evaluation per
+nonlinear term and one substitution of the current defect on those factors
+(a mat-vec with Q^T and one np.linalg.solve call on the triangular R), which
+also serves as the refinement step of the linear solve.  Successive iterates
+are compared in the sup norm on a uniform evaluation grid, and the same
+measure compares solutions of consecutive degrees in a refinement sweep.
 """
 
 from dataclasses import dataclass, replace
@@ -23,7 +23,7 @@ from .basis import MAX_DEGREE, BernsteinBasis
 from .errors import DivergenceError, NonConvergenceError, SingularSystemError
 from .quadrature import QuadratureRule, default_order, gauss_legendre
 
-# relative pivot threshold below which elimination refuses to continue
+# relative threshold below which a diagonal entry of R counts as singular
 _PIVOT_RTOL = 1e-13
 
 # width of the distance window and growth factor of the divergence heuristic
@@ -123,60 +123,46 @@ class DegreeHistory:
     converged: bool
 
 
-def _lu_factor(A0):
-    """LU factors of the square matrix A0 by partial pivoting.
+def _qr_factor(K):
+    """Householder QR factors of the square matrix K.
 
-    Returns (A0, L, U, perm): the matrix itself, for refinement, its
-    unit-lower and upper factors as dense arrays, and the row permutation,
-    so that A0[perm] = L @ U.
+    Returns (K, Q, R): the matrix itself, for refinement, and its orthogonal
+    and upper-triangular factors, so that K = Q @ R.
 
     Raises:
-        SingularSystemError: a pivot fell below 1e-13 * max|A0|.
+        SingularSystemError: the first diagonal entry of R below
+            1e-13 * max|K|, by its index and magnitude.
     """
-    n = A0.shape[0]
-    threshold = _PIVOT_RTOL * max(np.max(np.abs(A0)), np.finfo(float).tiny)
-    A = A0.copy()
-    perm = list(range(n))
-    for k in range(n):
-        col = np.abs(A[k:, k])
-        j = col.argmax()
-        if col[j] < threshold:
-            raise SingularSystemError(k, col[j])
-        if j:
-            p = k + j
-            row = A[k].copy()
-            A[k] = A[p]
-            A[p] = row
-            perm[k], perm[p] = perm[p], perm[k]
-        below = A[k + 1 :, k]
-        below /= A[k, k]
-        A[k + 1 :, k + 1 :] -= below[:, None] * A[k, k + 1 :]
-    L = np.tril(A, -1)
-    np.fill_diagonal(L, 1.0)
-    return A0, L, np.triu(A), np.array(perm)
+    Q, R = np.linalg.qr(K)
+    diag = np.abs(np.diagonal(R))
+    threshold = _PIVOT_RTOL * max(np.max(np.abs(K)), np.finfo(float).tiny)
+    small = np.flatnonzero(diag < threshold)
+    if small.size:
+        raise SingularSystemError(int(small[0]), diag[small[0]])
+    return K, Q, R
 
 
-def _lu_substitute(factors, r):
-    """(LU)^-1 applied to r, with the factors of _lu_factor.
+def _qr_substitute(factors, r):
+    """K^-1 r = R^-1 (Q^T r), with the factors of _qr_factor.
 
-    Each np.linalg.solve call is a LAPACK dgesv on the triangular factor: it
-    factors the factor afresh (its partial pivoting swaps no rows of L, unit
-    diagonal with |L_ik| <= 1, or of U, zeros below the diagonal) and then
-    substitutes, so one call costs an O(m^3) elimination, not a substitution.
+    The np.linalg.solve call is one LAPACK dgesv on R.  Every entry below
+    R's diagonal is zero, so its partial pivoting swaps no rows and its
+    elimination, which still runs, leaves R as it is: the result is the back
+    substitution on R.
     """
-    _, L, U, perm = factors
-    return np.linalg.solve(U, np.linalg.solve(L, r[perm]))
+    _, Q, R = factors
+    return np.linalg.solve(R, Q.T @ r)
 
 
-def _lu_solve(factors, b0):
-    """Solve with the factors of _lu_factor plus one step of refinement."""
-    x = _lu_substitute(factors, b0)
-    x += _lu_substitute(factors, b0 - factors[0] @ x)
+def _qr_solve(factors, b0):
+    """Solve with the factors of _qr_factor plus one step of refinement."""
+    x = _qr_substitute(factors, b0)
+    x += _qr_substitute(factors, b0 - factors[0] @ x)
     return x
 
 
 def solve_dense(K, rhs):
-    """Solve K x = rhs by LU factorization with partial pivoting.
+    """Solve K x = rhs by Householder QR factorization, K = QR.
 
     One step of iterative refinement keeps the residual below
     1e-10 * (1 + max|rhs|) for the well-scaled systems assembled here.
@@ -184,7 +170,7 @@ def solve_dense(K, rhs):
     Raises:
         ValueError: K and rhs are not a square matrix and a matching vector,
             or hold a non-finite entry.
-        SingularSystemError: a pivot fell below 1e-13 * max|K|.
+        SingularSystemError: a diagonal entry of R fell below 1e-13 * max|K|.
     """
     A0 = np.asarray(K, dtype=float)
     b0 = np.asarray(rhs, dtype=float)
@@ -197,7 +183,7 @@ def solve_dense(K, rhs):
     if not np.all(np.isfinite(b0)):
         (i,) = np.argwhere(~np.isfinite(b0))[0]
         raise ValueError(f"non-finite right-hand side entry at row {i}")
-    return _lu_solve(_lu_factor(A0), b0)
+    return _qr_solve(_qr_factor(A0), b0)
 
 
 def picard_solve(spec, degree, config=None, offsets=None):
@@ -227,8 +213,8 @@ def picard_solve(spec, degree, config=None, offsets=None):
 
     system = assemble_linear(spec, basis, rule, workspace=ws)
     m = system.size
-    factors = _lu_factor(system.matrix)
-    c = _lu_solve(factors, system.rhs)
+    factors = _qr_factor(system.matrix)
+    c = _qr_solve(factors, system.rhs)
     converged = spec.is_linear
     sol = Solution(
         basis=basis, offset_p=ws.theta["p"], offset_q=ws.theta["q"],
@@ -242,7 +228,7 @@ def picard_solve(spec, degree, config=None, offsets=None):
         nl = assemble_nonlinear_rhs(spec, basis, rule, sol, workspace=ws)
         # defect correction: the lagged step c = K^-1 (rhs + nl) with the
         # refinement folded in, one substitution per iteration
-        step = _lu_substitute(factors, system.rhs + nl - system.matrix @ c)
+        step = _qr_substitute(factors, system.rhs + nl - system.matrix @ c)
         c = c + step
         if not np.all(np.isfinite(c)):
             raise DivergenceError(k, "iterate became non-finite")

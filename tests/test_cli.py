@@ -420,6 +420,10 @@ class TestRunSolve:
     def test_bad_sweep_spec(self, capsys):
         assert run(["solve", "--preset", "example1", "--sweep", "3-5"]) == 1
 
+    def test_reversed_sweep_names_the_flag(self, capsys):
+        assert run(["solve", "--preset", "example1", "--sweep", "12..3"]) == 1
+        assert capsys.readouterr().err == "error: --sweep expects MIN <= MAX, got '12..3'\n"
+
     @pytest.mark.parametrize("section,key,raw", [
         ("bc.p", "value_b", "nan"), ("bc.q", "value_b", "nan"), ("bc.p", "value_a", "inf"),
         ("bc.p", "value_b", "-inf"), ("bc.q", "deriv_a", "nan"), ("domain", "b", "inf"),
@@ -433,12 +437,13 @@ class TestRunSolve:
         assert err == f"error: [{section}] {key}: not a finite number: {raw!r}\n"
 
     def test_singular_system_exits_with_its_pivot(self, tmp_path, capsys):
-        # a6 = 1e20 dwarfs the rest of K, so its first pivot falls below the threshold
+        # a6 = 1e20 dwarfs the rest of K, so the first diagonal entry of its
+        # R factor, the norm of K's first column, falls below the threshold
         text = (PROBLEMS_DIR / "example1.prob").read_text()
         assert text.count("a6 = x\n") == 1
         path = write_problem(tmp_path, text.replace("a6 = x\n", "a6 = 1e20\n"), "singular.prob")
         assert run(["solve", path, "--degree", "5"]) == 1
-        message = "error: singular system: pivot 0 has magnitude 1.250e+01\n"
+        message = "error: singular system: pivot 0 has magnitude 1.411e+01\n"
         assert capsys.readouterr().err == message
 
     @pytest.mark.parametrize("flag", ["--quad-order", "--grid"])

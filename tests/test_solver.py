@@ -18,7 +18,7 @@ from galbern import (
 from galbern.assembly import assemble_linear, assemble_nonlinear_rhs, residual_norm
 from galbern.cli import preset
 from galbern.quadrature import default_order, gauss_legendre
-from galbern.solver import _GRID_POINTS, _PIVOT_RTOL, _lu_factor
+from galbern.solver import _GRID_POINTS, _PIVOT_RTOL, _qr_factor
 
 # reference coefficients in the display basis x(1-x)^2, x^2(1-x); the first
 # pair is the discrete fixed point (iterated to machine convergence), the
@@ -102,8 +102,9 @@ class TestSolveDense:
 
 
 def outer_product_lu(A0):
-    """The pivoted elimination as first written, with np.outer updates.  The
-    factorization in use must reproduce it bit for bit."""
+    """Pivoted Gaussian elimination with np.outer updates, the factorization
+    the solver used before QR; the QR singular check must name the same
+    collapsing step on rank-deficient matrices."""
     n = A0.shape[0]
     threshold = _PIVOT_RTOL * max(np.max(np.abs(A0)), np.finfo(float).tiny)
     A = A0.copy()
@@ -122,35 +123,47 @@ def outer_product_lu(A0):
     return L, np.triu(A), perm
 
 
-class TestLuFactorMatchesLoopReference:
-    @staticmethod
-    def assert_same_factors(A0):
-        _, L, U, perm = _lu_factor(A0)
-        L_ref, U_ref, perm_ref = outer_product_lu(A0)
-        assert L.tobytes() == L_ref.tobytes()
-        assert U.tobytes() == U_ref.tobytes()
-        assert np.array_equal(perm, perm_ref)
+def rank_deficient_4x4():
+    K = np.ones((4, 4))
+    K[:, 3] = [1.0, 2.0, 3.0, 4.0]
+    return K
 
-    def test_example2_degree30_matrix(self):
+
+def rank_deficient_58x58():
+    K = np.random.default_rng(58).uniform(-5, 5, size=(58, 58))
+    K[:, 40] = K[:, 3] + K[:, 17]
+    return K
+
+
+class TestQrFactor:
+    @staticmethod
+    def assert_factors_reproduce(K):
+        K_, Q, R = _qr_factor(K)
+        assert K_ is K
+        assert np.array_equal(R, np.triu(R))
+        assert np.max(np.abs(Q @ R - K)) <= 1e-14 * np.max(np.abs(K))
+        assert np.max(np.abs(Q.T @ Q - np.eye(len(K)))) <= 1e-14
+
+    def test_factors_reproduce_example2_degree30_matrix(self):
         spec = preset("example2")
         basis = gb.BernsteinBasis(30, spec.domain)
         system = assemble_linear(spec, basis, gauss_legendre(default_order(30), *spec.domain))
         assert system.matrix.shape == (58, 58)
-        self.assert_same_factors(system.matrix)
+        self.assert_factors_reproduce(system.matrix)
 
-    def test_seeded_random_matrix(self):
-        self.assert_same_factors(np.random.default_rng(58).uniform(-5, 5, size=(58, 58)))
+    def test_factors_reproduce_seeded_random_matrix(self):
+        self.assert_factors_reproduce(np.random.default_rng(58).uniform(-5, 5, size=(58, 58)))
 
-    def test_same_singular_pivot(self):
-        K = np.ones((4, 4))
-        K[:, 3] = [1.0, 2.0, 3.0, 4.0]
+    @pytest.mark.parametrize(
+        "K, index", [(rank_deficient_4x4(), 1), (rank_deficient_58x58(), 40)], ids=["4x4", "58x58"]
+    )
+    def test_same_singular_pivot_as_elimination(self, K, index):
         with pytest.raises(SingularSystemError) as info:
-            _lu_factor(K)
+            _qr_factor(K)
         with pytest.raises(SingularSystemError) as ref:
             outer_product_lu(K)
-        assert (info.value.pivot_index, info.value.pivot_value) == (
-            ref.value.pivot_index, ref.value.pivot_value,
-        )
+        assert info.value.pivot_index == ref.value.pivot_index == index
+        assert info.value.pivot_value < _PIVOT_RTOL * np.max(np.abs(K))
 
 
 class TestPicardSolve:
@@ -329,7 +342,7 @@ class TestPicardSolve:
 
 
 class TestDefectCorrectionIteration:
-    # each lagged step is c + (LU)^-1 (rhs + N(c) - K c): the recurrence
+    # each lagged step is c + (QR)^-1 (rhs + N(c) - K c): the recurrence
     # c = K^-1 (rhs + N(c)) with its refinement step folded in
     COUNTS = {  # degrees 3..30
         "example1": [16, 13, 11, 11, 10] + [9] * 23,
@@ -375,8 +388,8 @@ class TestDefectCorrectionIteration:
         sol = picard_solve(preset("example2"), 30)
         assert sol.iterations_used == 13
         # the bootstrap substitutes twice (solve and refinement), each
-        # iteration once; a substitution is two triangular np.linalg.solve calls
-        assert len(calls) == 4 + 2 * 13
+        # iteration once; a substitution is one np.linalg.solve call on R
+        assert len(calls) == 2 + 13
 
     @pytest.mark.parametrize("name", ["example1", "example2", "example4"])
     def test_replication_runs_past_convergence(self, name):
@@ -396,6 +409,48 @@ class TestDefectCorrectionIteration:
         )
         with pytest.raises(DivergenceError):
             picard_solve(explosive, 3, SolverConfig(fixed_iters=30))
+
+
+def sin_cos_problem(a, b, deriv_end):
+    # p = sin x, q = cos x with M1 = p q and M2 = q' p, the manufactured
+    # problem of the long-domain benchmark
+    x = a if deriv_end == "a" else b
+    return ProblemSpec(
+        domain=(a, b),
+        f=gb.parse("-cos(x) + sin(x)*cos(x)"),
+        g=gb.parse("sin(x) - sin(x)^2"),
+        m1=gb.parse("p * q"),
+        m2=gb.parse("dq * p"),
+        bc_p=BoundaryData(np.sin(a), np.sin(b), deriv_end, np.cos(x)),
+        bc_q=BoundaryData(np.cos(a), np.cos(b), deriv_end, -np.sin(x)),
+        exact_p=gb.parse("sin(x)"),
+        exact_q=gb.parse("cos(x)"),
+    )
+
+
+class TestLongDomains:
+    # the lagged iteration contracts more slowly as the domain grows, until
+    # it stalls and then blows up
+    @pytest.mark.parametrize("a, b, deriv_end, degree, iterations", [
+        (0.0, 3.0, "a", 16, 22),
+        (-2.0, 2.0, "a", 16, 46),
+        (0.0, 3.5, "b", 20, 36),
+    ])
+    def test_iteration_count_grows_with_length(self, a, b, deriv_end, degree, iterations):
+        spec = sin_cos_problem(a, b, deriv_end)
+        sol = picard_solve(spec, degree)
+        assert sol.converged and sol.iterations_used == iterations
+        assert max_grid_error(spec, sol, "p") <= 1e-9
+        assert max_grid_error(spec, sol, "q") <= 1e-9
+
+    def test_budget_exhausted_on_length_4(self):
+        with pytest.raises(NonConvergenceError) as info:
+            picard_solve(sin_cos_problem(0.0, 4.0, "b"), 20)
+        assert info.value.iterations == 50
+
+    def test_divergence_on_length_5(self):
+        with pytest.raises(DivergenceError):
+            picard_solve(sin_cos_problem(0.0, 5.0, "b"), 20)
 
 
 class TestEvalSolution:
