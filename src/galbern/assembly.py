@@ -25,15 +25,23 @@ right-hand side; at the other (natural) end, u' is replaced by the trial
 derivative, which adds a rank-one matrix term and an offset contribution.
 The nonlinear term is never linearized into the matrix: it is evaluated on a
 previous iterate and added to the right-hand side (see solver.picard_solve).
+
+The basis tables of a Gauss rule and a uniform grid depend on the interval
+only through the scale factor (b - a)^-k of the k-th derivative, so they are
+tabulated once per (degree, rule order, grid size) on [0, 1] and kept in a
+small read-only cache; a solve on [0, 1] uses the cached tables as they are.
 """
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial import polynomial as P
 
 from . import expr as ex
+from .basis import MAX_DEGREE, BernsteinBasis
 from .errors import AssemblyError, SpecValidationError
+from .quadrature import gauss_legendre, is_gauss_legendre
 
 COEFF_VARS = frozenset(("x",))
 
@@ -194,10 +202,27 @@ class AssembledSystem:
         self.rhs.setflags(write=False)
 
 
-def _coef_values(e, xs):
-    if e is None:
-        return np.zeros_like(xs)
-    return ex.evaluate(e, ex.PointState(x=xs))
+def _split_tables(stacked, g):
+    """Node tables (orders 0-2), end derivatives and grid table of one pass
+    over g nodes, both ends and the grid, in that order."""
+    # contiguous copies: the products below see the layout of separate tables
+    tables = tuple(np.ascontiguousarray(table[:, :g]) for table in stacked)
+    ends = (stacked[1][:, g].copy(), stacked[1][:, g + 1].copy())
+    return tables, ends, np.ascontiguousarray(stacked[0][:, g + 2 :])
+
+
+@lru_cache(maxsize=MAX_DEGREE + 2)  # every solver degree at one grid size
+def _reference_tables(n, G, grid_points):
+    """Read-only _split_tables of degree n on [0, 1] for the G-point Gauss
+    rule and linspace(0, 1, grid_points)."""
+    basis = BernsteinBasis(n, (0.0, 1.0))
+    nodes = gauss_legendre(G, 0.0, 1.0).points
+    grid = np.linspace(0.0, 1.0, grid_points)
+    stacked = basis.interior_table(np.concatenate([nodes, (0.0, 1.0), grid]), (0, 1, 2))
+    tables, ends, grid_table = _split_tables(stacked, G)
+    for array in (*tables, *ends, grid_table):
+        array.setflags(write=False)
+    return tables, ends, grid_table
 
 
 class _Workspace:
@@ -206,8 +231,10 @@ class _Workspace:
     Holds the interior basis tables (orders 0-2) at the quadrature nodes, the
     members' first derivatives at both ends, the interior members on the
     evaluation grid (empty unless a grid is given), and the values of both
-    offsets ('p' and 'q') and their first two derivatives at the nodes.  All
-    basis tables come from one recurrence pass over nodes, ends and grid.
+    offsets ('p' and 'q') and their first two derivatives at the nodes.  A
+    Gauss rule with a uniform grid takes the cached [0, 1] tables, scaled by
+    (b - a)^-k at order k; any other rule and grid get one recurrence pass
+    over nodes, ends and grid.
     """
 
     def __init__(self, spec, basis, rule, offsets, grid=()):
@@ -217,12 +244,20 @@ class _Workspace:
         self.theta = dict(zip("pq", _offset_or_default(offsets, spec)))
         self.xs = np.asarray(rule.points)
         self.w = np.asarray(rule.weights)
-        g = len(self.xs)
-        stacked = basis.interior_table(np.concatenate([self.xs, spec.domain, grid]), (0, 1, 2))
-        # contiguous copies: the products below see the layout of separate tables
-        self.tables = [np.ascontiguousarray(table[:, :g]) for table in stacked]
-        self.d1 = {"a": stacked[1][:, g], "b": stacked[1][:, g + 1]}
-        self.grid_table = np.ascontiguousarray(stacked[0][:, g + 2 :])
+        a, b = basis.interval
+        if is_gauss_legendre(rule, a, b) and np.array_equal(grid, np.linspace(a, b, len(grid))):
+            tables, ends, grid_table = _reference_tables(basis.degree, rule.order, len(grid))
+            if b - a != 1.0:
+                tables = tuple(table * (b - a) ** -k for k, table in enumerate(tables))
+                ends = tuple(d / (b - a) for d in ends)
+        else:
+            points = np.concatenate([self.xs, spec.domain, grid])
+            tables, ends, grid_table = _split_tables(
+                basis.interior_table(points, (0, 1, 2)), len(self.xs)
+            )
+        self.tables = tables
+        self.d1 = dict(zip("ab", ends))
+        self.grid_table = grid_table
         self.th = {
             which: tuple(theta.value(self.xs, order) for order in (0, 1, 2))
             for which, theta in self.theta.items()
@@ -234,21 +269,31 @@ def _equation_blocks(ws, coeffs, forcing, bc, u, v):
     """Own block, cross block and load vector for the equation of unknown u.
 
     u and v are 'p' and 'q' in either order, as in the module docstring.
+    An absent (None) coefficient adds nothing.
     """
     P0, P1, P2 = ws.tables
     w = ws.w
-    c1, c2, c3, c4, c5, c6 = (_coef_values(c, ws.xs) for c in coeffs)
+    state = ex.PointState(x=ws.xs)
+    # c1..c3 multiply u'', u', u and c4..c6 multiply v'', v', v
+    blocks = {u: [], v: []}
+    loads = {u: [], v: []}
+    for k, coeff in enumerate(coeffs):
+        if coeff is None:
+            continue
+        which, order = (u if k < 3 else v), 2 - k % 3
+        values = ex.evaluate(coeff, state)
+        blocks[which].append((P0 * (w * values)) @ ws.tables[order].T)
+        loads[which].append(values * ws.th[which][order])
 
     own = (P2 * w) @ P1.T
-    own += (P0 * (w * c1)) @ P2.T + (P0 * (w * c2)) @ P1.T + (P0 * (w * c3)) @ P0.T
-    cross = (P0 * (w * c4)) @ P2.T + (P0 * (w * c5)) @ P1.T + (P0 * (w * c6)) @ P0.T
+    own += sum(blocks[u])
+    cross = sum(blocks[v], np.zeros((ws.m, ws.m)))
 
-    th0, th1, th2 = ws.th[u]
-    tc0, tc1, tc2 = ws.th[v]
-    rhs = P0 @ (w * _coef_values(forcing, ws.xs))
-    rhs -= P0 @ (w * (c1 * th2 + c2 * th1 + c3 * th0))
-    rhs -= P0 @ (w * (c4 * tc2 + c5 * tc1 + c6 * tc0))
-    rhs -= P2 @ (w * th1)
+    rhs = np.zeros(ws.m) if forcing is None else P0 @ (w * ex.evaluate(forcing, state))
+    for terms in (loads[u], loads[v]):
+        if terms:
+            rhs -= P0 @ (w * sum(terms))
+    rhs -= P2 @ (w * ws.th[u][1])
 
     # prescribed-derivative bracket: known data on the load side
     a, b = ws.spec.domain
@@ -293,27 +338,19 @@ def assemble_linear(spec, basis, rule, offsets=None, *, workspace=None):
     return AssembledSystem(matrix=K, rhs=rhs, size=ws.m)
 
 
-def _trial_values(ws, coeffs, which):
-    c = np.asarray(coeffs, dtype=float)
+def _trial_values(ws, c, which):
     return tuple(th + c @ table for th, table in zip(ws.th[which], ws.tables))
 
 
-def assemble_nonlinear_rhs(spec, basis, rule, current, *, workspace=None):
-    """Load-vector contribution of the nonlinear terms at a given solution.
-
-    Entry i of the block for an equation with nonlinear term M is
-    -int M(x, p~, p~', p~'', q~, q~', q~'') B_i dx, with p~, q~ the full
-    trial functions of `current` (offsets included).  Zero blocks when the
-    corresponding term is absent.  workspace, when given, is the solve's
-    discretization, built with current's offsets.
-    """
-    ws = workspace or _Workspace(spec, basis, rule, (current.offset_p, current.offset_q))
+def _nonlinear_load(ws, c):
+    """assemble_nonlinear_rhs at the coefficient vector c (p block, then q)."""
     m = ws.m
     out = np.zeros(2 * m)
+    spec = ws.spec
     if spec.is_linear:
         return out
-    p0, p1, p2 = _trial_values(ws, current.coeffs_p, "p")
-    q0, q1, q2 = _trial_values(ws, current.coeffs_q, "q")
+    p0, p1, p2 = _trial_values(ws, c[:m], "p")
+    q0, q1, q2 = _trial_values(ws, c[m:], "q")
     state = ex.PointState(x=ws.xs, p=p0, dp=p1, d2p=p2, q=q0, dq=q1, d2q=q2)
     P0 = ws.tables[0]
     for term, sl in ((spec.m1, slice(0, m)), (spec.m2, slice(m, 2 * m))):
@@ -326,6 +363,23 @@ def assemble_nonlinear_rhs(spec, basis, rule, current, *, workspace=None):
     return out
 
 
+def _coefficient_vector(sol):
+    return np.concatenate([np.asarray(sol.coeffs_p, float), np.asarray(sol.coeffs_q, float)])
+
+
+def assemble_nonlinear_rhs(spec, basis, rule, current, *, workspace=None):
+    """Load-vector contribution of the nonlinear terms at a given solution.
+
+    Entry i of the block for an equation with nonlinear term M is
+    -int M(x, p~, p~', p~'', q~, q~', q~'') B_i dx, with p~, q~ the full
+    trial functions of `current` (offsets included).  Zero blocks when the
+    corresponding term is absent.  workspace, when given, is the solve's
+    discretization, built with current's offsets.
+    """
+    ws = workspace or _Workspace(spec, basis, rule, (current.offset_p, current.offset_q))
+    return _nonlinear_load(ws, _coefficient_vector(current))
+
+
 def residual_norm(spec, sol, basis, rule):
     """Sup-norm of the discrete weighted residual at a solution.
 
@@ -336,6 +390,6 @@ def residual_norm(spec, sol, basis, rule):
     """
     ws = _Workspace(spec, basis, rule, (sol.offset_p, sol.offset_q))
     system = assemble_linear(spec, basis, rule, workspace=ws)
-    c = np.concatenate([np.asarray(sol.coeffs_p, float), np.asarray(sol.coeffs_q, float)])
+    c = _coefficient_vector(sol)
     nl = assemble_nonlinear_rhs(spec, basis, rule, sol, workspace=ws)
     return float(np.max(np.abs(system.matrix @ c - system.rhs - nl)))

@@ -363,6 +363,10 @@ def _parse_sweep(text):
     lo, hi = int(m.group(1)), int(m.group(2))
     if lo > hi:
         raise ValueError(f"--sweep expects MIN <= MAX, got {text!r}")
+    if lo < 3:
+        raise ValueError(f"--sweep expects MIN >= 3, got {text!r}")
+    if hi > MAX_DEGREE:
+        raise ValueError(f"--sweep expects MAX <= {MAX_DEGREE}, got {text!r}")
     return lo, hi
 
 

@@ -4,21 +4,28 @@ A solve proceeds in two stages.  The bootstrap drops the nonlinear terms and
 solves the purely linear system once; every later iteration re-solves the
 same matrix against the linear load plus the nonlinear load evaluated on the
 previous iterate.  The discretization (basis tables, offset values) is built
-once per solve, and the matrix is factored once, K = QR, by LAPACK's
-Householder QR; a negligible diagonal entry of R is refused as a singular
-system.  Each iteration then costs one vectorized expression evaluation per
-nonlinear term and one substitution of the current defect on those factors
-(a mat-vec with Q^T and one np.linalg.solve call on the triangular R), which
-also serves as the refinement step of the linear solve.  Successive iterates
-are compared in the sup norm on a uniform evaluation grid, and the same
-measure compares solutions of consecutive degrees in a refinement sweep.
+once per solve from tables cached per degree, and the matrix is factored
+once, K = QR, by LAPACK's Householder QR; a negligible diagonal entry of R is
+refused as a singular system.  The bootstrap is a back substitution on R plus
+one refinement step.  When iterations follow, R^-1 is formed once by back
+substitution, and each iteration costs one vectorized expression evaluation
+per nonlinear term and four mat-vecs on the current defect d: y = Q^T d and
+x = R^-1 y, refined once as x + R^-1 (y - R x).  The inverse is of R, not of
+K: an explicit K^-1 at cond(K) ~ 2e15 gives I - K^-1 K a spectral radius
+above 1 and changes iteration counts, while the triangular inverse is as
+accurate as substitution (Du Croz and Higham 1992) once its product is
+refined against R.  A product with an explicit inverse is not backward
+stable, so without that refinement the fifth iterate of example2 at degree
+30 is 6.6e-10 off on the grid, against 9e-13 for substitution.  Successive
+iterates are compared in the sup norm on a uniform evaluation grid, and the
+same measure compares solutions of consecutive degrees in a refinement sweep.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import _Workspace, assemble_linear, assemble_nonlinear_rhs
+from .assembly import _nonlinear_load, _Workspace, assemble_linear
 from .basis import MAX_DEGREE, BernsteinBasis
 from .errors import DivergenceError, NonConvergenceError, SingularSystemError
 from .quadrature import QuadratureRule, default_order, gauss_legendre
@@ -213,26 +220,29 @@ def picard_solve(spec, degree, config=None, offsets=None):
 
     system = assemble_linear(spec, basis, rule, workspace=ws)
     m = system.size
-    factors = _qr_factor(system.matrix)
-    c = _qr_solve(factors, system.rhs)
+    K, rhs = system.matrix, system.rhs
+    factors = _qr_factor(K)
+    c = _qr_solve(factors, rhs)
     converged = spec.is_linear
-    sol = Solution(
-        basis=basis, offset_p=ws.theta["p"], offset_q=ws.theta["q"],
-        coeffs_p=c[:m], coeffs_q=c[m:], iterations_used=0, converged=converged,
-    )
     target = 0 if converged else (
         config.fixed_iters if config.fixed_iters is not None else config.max_picard_iters
     )
+    if target:
+        _, Q, R = factors
+        Rinv = np.linalg.solve(R, np.eye(2 * m))
     distances = []
+    k = 0
     for k in range(1, target + 1):
-        nl = assemble_nonlinear_rhs(spec, basis, rule, sol, workspace=ws)
+        nl = _nonlinear_load(ws, c)
         # defect correction: the lagged step c = K^-1 (rhs + nl) with the
-        # refinement folded in, one substitution per iteration
-        step = _qr_substitute(factors, system.rhs + nl - system.matrix @ c)
+        # refinement folded in; R^-1 is applied once more to its residual
+        # against R, which keeps the iterates as accurate as substitution
+        y = Q.T @ (rhs + nl - K @ c)
+        step = Rinv @ y
+        step += Rinv @ (y - R @ step)
         c = c + step
         if not np.all(np.isfinite(c)):
             raise DivergenceError(k, "iterate became non-finite")
-        sol = replace(sol, coeffs_p=c[:m], coeffs_q=c[m:], iterations_used=k)
         # iterates share their offsets, so on the grid they differ by the step
         dist = float(np.max(np.abs(step.reshape(2, m) @ ws.grid_table)))
         distances.append(dist)
@@ -248,9 +258,16 @@ def picard_solve(spec, degree, config=None, offsets=None):
     else:
         if target:
             raise NonConvergenceError(target, distances[-2:])
-    pairs = zip("pq", (sol.coeffs_p, sol.coeffs_q))  # evaluate's product, bit for bit
-    grid_values = np.array([ws.theta[u].value(grid) + cu @ ws.grid_table for u, cu in pairs])
-    return replace(sol, converged=converged, rule=rule, grid_values=grid_values)
+    coeffs = {"p": c[:m], "q": c[m:]}
+    # evaluate's product; bit for bit on [0, 1], where the tables are too
+    grid_values = np.array(
+        [ws.theta[u].value(grid) + cu @ ws.grid_table for u, cu in coeffs.items()]
+    )
+    return Solution(
+        basis=basis, offset_p=ws.theta["p"], offset_q=ws.theta["q"],
+        coeffs_p=coeffs["p"], coeffs_q=coeffs["q"], iterations_used=k, converged=converged,
+        rule=rule, grid_values=grid_values,
+    )
 
 
 def refine_solve(spec, config=None):

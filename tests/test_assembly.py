@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import sympy as sp
@@ -16,7 +18,7 @@ from galbern import (
     picard_solve,
     residual_norm,
 )
-from galbern.assembly import AffineOffset, _Workspace
+from galbern.assembly import AffineOffset, _reference_tables, _Workspace
 from galbern.cli import preset
 from galbern.solver import Solution
 
@@ -345,6 +347,89 @@ class TestWorkspace:
         spec = preset("example1")
         ws = _Workspace(spec, BernsteinBasis(5, spec.domain), make_rule(5), None)
         assert ws.grid_table.shape == (4, 0)
+
+
+def _bare_spec(domain, **terms):
+    bc = BoundaryData(0.5, -1.0, "a", 2.0)
+    return ProblemSpec(domain=domain, bc_p=bc, bc_q=bc, **terms)
+
+
+class TestReferenceTables:
+    """Tables cached on [0, 1] and scaled must match a direct tabulation."""
+
+    DOMAIN = (-1.3, 1.7)
+
+    @pytest.mark.parametrize("degree", [3, 12, 30])
+    def test_scaled_tables_match_direct_calls(self, degree):
+        basis = BernsteinBasis(degree, self.DOMAIN)
+        rule = make_rule(degree, self.DOMAIN)
+        grid = np.linspace(*self.DOMAIN, 101)
+        ws = _Workspace(_bare_spec(self.DOMAIN), basis, rule, None, grid)
+        direct = list(basis.interior_table(rule.points, (0, 1, 2)))
+        ends = basis.interior_table(self.DOMAIN, 1)
+        direct += [ends[:, 0], ends[:, 1], basis.interior_table(grid)]
+        for got, expected in zip([*ws.tables, ws.d1["a"], ws.d1["b"], ws.grid_table], direct):
+            assert got.shape == expected.shape
+            assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+    def test_domains_of_one_degree_share_one_read_only_entry(self):
+        _reference_tables.cache_clear()
+        for domain in ((0.0, 1.0), self.DOMAIN, (2.0, 2.5)):
+            basis = BernsteinBasis(12, domain)
+            _Workspace(_bare_spec(domain), basis, make_rule(12, domain), None, np.linspace(*domain, 101))
+        info = _reference_tables.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
+        tables, ends, grid_table = _reference_tables(12, make_rule(12).order, 101)
+        for array in (*tables, *ends, grid_table):
+            assert not array.flags.writeable
+
+    @pytest.mark.parametrize("points", [
+        np.linspace(0.05, 0.95, 24),  # the Gauss order of degree 12, other nodes
+        np.asarray(make_rule(12).points) * (1 - 1e-15),  # Gauss nodes a round-off off
+    ])
+    def test_hand_built_rule_gets_its_own_tables(self, points):
+        rule = gb.QuadratureRule(points=points, weights=np.full(24, 1 / 24), order=24)
+        basis = BernsteinBasis(12, (0.0, 1.0))
+        ws = _Workspace(_bare_spec((0.0, 1.0)), basis, rule, None)
+        for order, table in enumerate(ws.tables):
+            assert table.tobytes() == basis.interior_table(points, order).tobytes()
+
+    def test_uneven_grid_gets_its_own_table(self):
+        grid = np.linspace(0.0, 1.0, 101) ** 2
+        basis = BernsteinBasis(12, (0.0, 1.0))
+        ws = _Workspace(_bare_spec((0.0, 1.0)), basis, make_rule(12), None, grid)
+        assert ws.grid_table.tobytes() == basis.interior_table(grid).tobytes()
+
+
+class TestAbsentCoefficients:
+    """An explicit zero coefficient assembles exactly what None does."""
+
+    @staticmethod
+    def _zeros_for_none(spec):
+        zero = gb.parse("0")
+        p_coeffs, q_coeffs = (
+            tuple(zero if c is None else c for c in coeffs)
+            for coeffs in (spec.p_coeffs, spec.q_coeffs)
+        )
+        return replace(
+            spec, p_coeffs=p_coeffs, q_coeffs=q_coeffs, f=spec.f or zero, g=spec.g or zero
+        )
+
+    @pytest.mark.parametrize("spec", [
+        preset("example1"),
+        preset("example2"),
+        _bare_spec((-1.3, 1.7)),
+        _bare_spec((0.0, 2.0), p_coeffs=(None, None, gb.parse("x"), None, None, None)),
+    ], ids=["example1", "example2", "no-terms", "one-term"])
+    def test_zero_coefficients_assemble_what_none_does(self, spec):
+        zeros = self._zeros_for_none(spec)
+        assert all(c is not None for c in zeros.p_coeffs + zeros.q_coeffs)
+        basis = BernsteinBasis(9, spec.domain)
+        rule = make_rule(9, spec.domain)
+        with_none = assemble_linear(spec, basis, rule)
+        with_zero = assemble_linear(zeros, basis, rule)
+        assert np.array_equal(with_none.matrix, with_zero.matrix)
+        assert np.array_equal(with_none.rhs, with_zero.rhs)
 
 
 class TestResidualNorm:

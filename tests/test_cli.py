@@ -424,6 +424,16 @@ class TestRunSolve:
         assert run(["solve", "--preset", "example1", "--sweep", "12..3"]) == 1
         assert capsys.readouterr().err == "error: --sweep expects MIN <= MAX, got '12..3'\n"
 
+    @pytest.mark.parametrize("text, message", [
+        ("2..5", "--sweep expects MIN >= 3, got '2..5'"),
+        ("0..0", "--sweep expects MIN >= 3, got '0..0'"),
+        ("3..31", "--sweep expects MAX <= 30, got '3..31'"),
+        ("31..40", "--sweep expects MAX <= 30, got '31..40'"),
+    ])
+    def test_sweep_bounds_name_the_flag(self, capsys, text, message):
+        assert run(["solve", "--preset", "example1", "--sweep", text]) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
     @pytest.mark.parametrize("section,key,raw", [
         ("bc.p", "value_b", "nan"), ("bc.q", "value_b", "nan"), ("bc.p", "value_a", "inf"),
         ("bc.p", "value_b", "-inf"), ("bc.q", "deriv_a", "nan"), ("domain", "b", "inf"),
@@ -470,7 +480,7 @@ class TestRunSolve:
         monkeypatch.setattr(gb.solver, "picard_solve", lambda *args: solved.append(args))
         status = run(["solve", "--preset", "example1", "--sweep", "3..40", "--tol-degree", "1e-30"])
         assert status == 1
-        assert capsys.readouterr().err == "error: max_degree 40 exceeds the degree cap 30\n"
+        assert capsys.readouterr().err == "error: --sweep expects MAX <= 30, got '3..40'\n"
         assert solved == []
 
     def test_residual_uses_the_solve_rule(self, capsys, monkeypatch):

@@ -15,7 +15,12 @@ from galbern import (
     refine_solve,
     solve_dense,
 )
-from galbern.assembly import assemble_linear, assemble_nonlinear_rhs, residual_norm
+from galbern.assembly import (
+    _reference_tables,
+    assemble_linear,
+    assemble_nonlinear_rhs,
+    residual_norm,
+)
 from galbern.cli import preset
 from galbern.quadrature import default_order, gauss_legendre
 from galbern.solver import _GRID_POINTS, _PIVOT_RTOL, _qr_factor
@@ -350,18 +355,36 @@ class TestDefectCorrectionIteration:
         "example4": [4] * 28,
     }
 
+    @staticmethod
+    def plain_lagged_iterate(spec, sol, iterations):
+        # c = K^-1 (rhs + N(c)) from the linear bootstrap, each solve by substitution
+        system = assemble_linear(spec, sol.basis, sol.rule)
+        m = system.size
+        c = solve_dense(system.matrix, system.rhs)
+        for _ in range(iterations):
+            lagged = replace(sol, coeffs_p=c[:m], coeffs_q=c[m:])
+            nl = assemble_nonlinear_rhs(spec, sol.basis, sol.rule, lagged)
+            c = solve_dense(system.matrix, system.rhs + nl)
+        return replace(sol, coeffs_p=c[:m], coeffs_q=c[m:])
+
     @pytest.mark.parametrize("name, degree", [("example1", 3), ("example2", 8), ("example2", 12)])
     def test_fixed_iterates_are_the_plain_lagged_recurrence(self, name, degree):
         spec = preset(name)
         sol = picard_solve(spec, degree, SolverConfig(fixed_iters=5))
-        system = assemble_linear(spec, sol.basis, sol.rule)
-        m = system.size
-        c = solve_dense(system.matrix, system.rhs)
-        for _ in range(5):
-            lagged = replace(sol, coeffs_p=c[:m], coeffs_q=c[m:])
-            nl = assemble_nonlinear_rhs(spec, sol.basis, sol.rule, lagged)
-            c = solve_dense(system.matrix, system.rhs + nl)
-        assert np.max(np.abs(np.concatenate([sol.coeffs_p, sol.coeffs_q]) - c)) <= 1e-12
+        plain = self.plain_lagged_iterate(spec, sol, 5)
+        got = np.concatenate([sol.coeffs_p, sol.coeffs_q])
+        assert np.max(np.abs(got - np.concatenate([plain.coeffs_p, plain.coeffs_q]))) <= 1e-12
+
+    @pytest.mark.parametrize("degree", [28, 30])
+    def test_unconverged_iterates_keep_substitution_accuracy(self, degree):
+        # the fifth iterate is still far from the fixed point, so each step
+        # is large; an unrefined product with the stored R^-1 puts it
+        # 4e-11 (degree 28) and 7e-10 (degree 30) off on the grid
+        spec = preset("example2")
+        sol = picard_solve(spec, degree, SolverConfig(fixed_iters=5))
+        plain = self.plain_lagged_iterate(spec, sol, 5)
+        grid = np.linspace(*spec.domain, _GRID_POINTS)
+        assert np.max(np.abs(sol.grid_values - plain.evaluate(grid, "pq"))) <= 1e-11
 
     @pytest.mark.parametrize("name", sorted(COUNTS))
     def test_iteration_counts_at_every_degree(self, name):
@@ -381,15 +404,47 @@ class TestDefectCorrectionIteration:
         original = np.linalg.solve
 
         def counting(a, b):
-            calls.append(a.shape)
+            calls.append((a.shape, np.shape(b)))
             return original(a, b)
 
         monkeypatch.setattr(np.linalg, "solve", counting)
-        sol = picard_solve(preset("example2"), 30)
-        assert sol.iterations_used == 13
-        # the bootstrap substitutes twice (solve and refinement), each
-        # iteration once; a substitution is one np.linalg.solve call on R
-        assert len(calls) == 2 + 13
+        # the bootstrap substitutes twice on R (solve and refinement); a
+        # nonlinear solve then forms R^-1 once, by one more call, and every
+        # iteration applies it by mat-vecs, whatever the iteration count
+        for name, degree, config, iterations in (
+            ("example2", 30, SolverConfig(), 13),
+            ("example4", 30, SolverConfig(), 4),
+            ("example1", 12, SolverConfig(fixed_iters=30), 30),
+            ("example1", 5, SolverConfig(fixed_iters=0), 0),
+            ("example3", 30, SolverConfig(), 0),
+        ):
+            calls.clear()
+            sol = picard_solve(preset(name), degree, config)
+            assert sol.iterations_used == iterations
+            size = 2 * (degree - 1)
+            substitutions = [((size, size), (size,))] * 2
+            inverse = [((size, size), (size, size))] if iterations else []
+            assert calls == substitutions + inverse, (name, degree)
+
+    @pytest.mark.parametrize("degree", [26, 28, 30])
+    def test_linear_problem_keeps_substitution_accuracy(self, degree):
+        # example3 is linear, so its answer is the bootstrap: substitution on
+        # R plus refinement (~1e-11 here), where a bootstrap through an
+        # explicit K^-1 loses about four digits (~6e-8 at degree 30)
+        spec = preset("example3")
+        sol = picard_solve(spec, degree)
+        assert max(max_grid_error(spec, sol, w) for w in "pq") <= 1e-10
+
+    @pytest.mark.parametrize("name", ["example1", "example2", "example4"])
+    def test_stored_inverse_iteration_stays_converged(self, name):
+        # fifty steps with the stored R^-1 past the fixed point neither
+        # drift nor diverge: the fixed point keeps its accuracy
+        spec = preset(name)
+        converged = picard_solve(spec, 30)
+        replicated = picard_solve(spec, 30, SolverConfig(fixed_iters=50))
+        assert replicated.iterations_used == 50
+        assert np.max(np.abs(replicated.grid_values - converged.grid_values)) <= 1e-10
+        assert max(max_grid_error(spec, replicated, w) for w in "pq") <= 1e-9
 
     @pytest.mark.parametrize("name", ["example1", "example2", "example4"])
     def test_replication_runs_past_convergence(self, name):
@@ -539,6 +594,15 @@ class TestSolutionCarriesRuleAndGrid:
         expected = gauss_legendre(sol.rule.order, *spec.domain)
         assert sol.rule.points.tobytes() == expected.points.tobytes()
 
+    def test_grid_values_match_evaluate_off_the_unit_interval(self):
+        # off [0, 1] the grid table is the cached one, scaled: it matches a
+        # fresh tabulation to round-off, not bit for bit
+        spec = sin_cos_problem(-1.3, 1.7, "a")
+        sol = picard_solve(spec, 30)
+        grid = np.linspace(*spec.domain, _GRID_POINTS)
+        expected = sol.evaluate(grid, "pq")
+        assert np.max(np.abs(sol.grid_values - expected)) <= 1e-13 * np.max(np.abs(expected))
+
     def test_grid_values_are_read_only(self):
         sol = picard_solve(preset("example1"), 4)
         with pytest.raises(ValueError):
@@ -602,7 +666,8 @@ class TestRefineSolve:
 
     def test_one_grid_table_per_degree(self, monkeypatch):
         # the sweep compares the grid values each solve returns; it builds
-        # no basis table of its own
+        # no basis table of its own, and a cold solve builds its degree's
+        # tables once, for the cache, which a warm rerun reads
         calls = []
         original = gb.BernsteinBasis.interior_table
 
@@ -611,9 +676,15 @@ class TestRefineSolve:
             return original(self, x, order)
 
         monkeypatch.setattr(gb.BernsteinBasis, "interior_table", counting)
-        _, history = refine_solve(preset("example1"), SolverConfig(min_degree=3, max_degree=6))
+        _reference_tables.cache_clear()
+        config = SolverConfig(min_degree=3, max_degree=6)
+        _, history = refine_solve(preset("example1"), config)
         assert history.degrees == [3, 4, 5]
         assert calls == history.degrees
+        calls.clear()
+        _, rerun = refine_solve(preset("example1"), config)
+        assert rerun.degrees == history.degrees
+        assert calls == []
 
 
 class TestSolverConfig:
