@@ -13,11 +13,9 @@ against a load that includes the product evaluated on the previous iterate.
 import numpy as np
 
 from galbern import (
-    BernsteinBasis,
     SolverConfig,
     assemble_linear,
-    assemble_nonlinear_rhs,
-    gauss_legendre,
+    default_order,
     picard_solve,
     residual_norm,
     solve_dense,
@@ -28,11 +26,10 @@ spec = preset("example1")
 degree = 3
 
 # ---- what one iteration looks like, spelled out -------------------------
-basis = BernsteinBasis(degree, spec.domain)
-rule = gauss_legendre(24, *spec.domain)
-system = assemble_linear(spec, basis, rule)
+# the degree fixes the discretization: a max(24, 2n)-point Gauss rule
+system = assemble_linear(spec, degree)
 print(f"discrete system is {system.matrix.shape[0]}x{system.matrix.shape[1]} "
-      f"({system.size} coefficients per unknown)")
+      f"({system.size} coefficients per unknown, {default_order(degree)}-point Gauss rule)")
 print("matrix:")
 print(np.array_str(system.matrix, precision=4, suppress_small=True))
 
@@ -42,7 +39,7 @@ print(f"\nbootstrap (nonlinear terms dropped): coefficients {bootstrap}")
 # ---- the full solve ------------------------------------------------------
 sol = picard_solve(spec, degree)
 print(f"\nconverged after {sol.iterations_used} lagged iterations")
-print(f"discrete residual at the solution: {residual_norm(spec, sol, basis, rule):.2e}")
+print(f"discrete residual at the solution: {residual_norm(spec, sol):.2e}")
 print(f"p coefficients: {sol.coeffs_p}")
 print(f"q coefficients: {sol.coeffs_q}")
 

@@ -26,10 +26,11 @@ derivative, which adds a rank-one matrix term and an offset contribution.
 The nonlinear term is never linearized into the matrix: it is evaluated on a
 previous iterate and added to the right-hand side (see solver.picard_solve).
 
-The basis tables of a Gauss rule and a uniform grid depend on the interval
-only through the scale factor (b - a)^-k of the k-th derivative, so they are
-tabulated once per (degree, rule order, grid size) on [0, 1] and kept in a
-small read-only cache; a solve on [0, 1] uses the cached tables as they are.
+A degree n fixes the discretization: the default_order(n)-point Gauss rule,
+exact for every polynomial integrand assembled here, and a uniform grid of
+101 points.  Their basis tables depend on the interval only through the
+factor (b - a)^-k of the k-th derivative, so they are tabulated once per
+degree on [0, 1] and cached read-only; a solve on [0, 1] uses them as they are.
 """
 
 from dataclasses import dataclass, field
@@ -41,9 +42,12 @@ from numpy.polynomial import polynomial as P
 from . import expr as ex
 from .basis import MAX_DEGREE, BernsteinBasis
 from .errors import AssemblyError, SpecValidationError
-from .quadrature import gauss_legendre, is_gauss_legendre
+from .quadrature import default_order, gauss_legendre
 
 COEFF_VARS = frozenset(("x",))
+
+# points of the uniform grid on which solutions are compared and sampled
+_GRID_POINTS = 101
 
 
 @dataclass(frozen=True)
@@ -202,24 +206,18 @@ class AssembledSystem:
         self.rhs.setflags(write=False)
 
 
-def _split_tables(stacked, g):
-    """Node tables (orders 0-2), end derivatives and grid table of one pass
-    over g nodes, both ends and the grid, in that order."""
-    # contiguous copies: the products below see the layout of separate tables
-    tables = tuple(np.ascontiguousarray(table[:, :g]) for table in stacked)
-    ends = (stacked[1][:, g].copy(), stacked[1][:, g + 1].copy())
-    return tables, ends, np.ascontiguousarray(stacked[0][:, g + 2 :])
-
-
-@lru_cache(maxsize=MAX_DEGREE + 2)  # every solver degree at one grid size
-def _reference_tables(n, G, grid_points):
-    """Read-only _split_tables of degree n on [0, 1] for the G-point Gauss
-    rule and linspace(0, 1, grid_points)."""
-    basis = BernsteinBasis(n, (0.0, 1.0))
+@lru_cache(maxsize=MAX_DEGREE)  # one entry per degree
+def _reference_tables(n):
+    """Read-only node tables (orders 0-2), end derivatives and grid table of
+    degree n on [0, 1], from one recurrence pass over nodes, ends and grid."""
+    G = default_order(n)
     nodes = gauss_legendre(G, 0.0, 1.0).points
-    grid = np.linspace(0.0, 1.0, grid_points)
-    stacked = basis.interior_table(np.concatenate([nodes, (0.0, 1.0), grid]), (0, 1, 2))
-    tables, ends, grid_table = _split_tables(stacked, G)
+    points = np.concatenate([nodes, (0.0, 1.0), np.linspace(0.0, 1.0, _GRID_POINTS)])
+    stacked = BernsteinBasis(n, (0.0, 1.0)).interior_table(points, (0, 1, 2))
+    # contiguous copies: the products below see the layout of separate tables
+    tables = tuple(np.ascontiguousarray(table[:, :G]) for table in stacked)
+    ends = (stacked[1][:, G].copy(), stacked[1][:, G + 1].copy())
+    grid_table = np.ascontiguousarray(stacked[0][:, G + 2 :])
     for array in (*tables, *ends, grid_table):
         array.setflags(write=False)
     return tables, ends, grid_table
@@ -228,41 +226,42 @@ def _reference_tables(n, G, grid_points):
 class _Workspace:
     """One solve's discretization, shared by every assembly pass over it.
 
-    Holds the interior basis tables (orders 0-2) at the quadrature nodes, the
-    members' first derivatives at both ends, the interior members on the
-    evaluation grid (empty unless a grid is given), and the values of both
-    offsets ('p' and 'q') and their first two derivatives at the nodes.  A
-    Gauss rule with a uniform grid takes the cached [0, 1] tables, scaled by
-    (b - a)^-k at order k; any other rule and grid get one recurrence pass
-    over nodes, ends and grid.
+    Holds the degree-n basis, the Gauss nodes and weights, the interior
+    members' orders 0-2 at the nodes and first derivatives at both ends
+    (the cached [0, 1] tables scaled by (b - a)^-k), the evaluation grid and
+    the members on it, and both offsets ('p', 'q') and their first two
+    derivatives at the nodes.
     """
 
-    def __init__(self, spec, basis, rule, offsets, grid=()):
-        if abs(basis.a - spec.domain[0]) > 1e-12 or abs(basis.b - spec.domain[1]) > 1e-12:
-            raise SpecValidationError("basis interval differs from the problem domain")
+    def __init__(self, spec, degree, offsets=None):
+        self.basis = BernsteinBasis(degree, spec.domain)
+        n = self.basis.degree
+        a, b = spec.domain
+        rule = gauss_legendre(default_order(n), a, b)
         self.spec = spec
         self.theta = dict(zip("pq", _offset_or_default(offsets, spec)))
-        self.xs = np.asarray(rule.points)
-        self.w = np.asarray(rule.weights)
-        a, b = basis.interval
-        if is_gauss_legendre(rule, a, b) and np.array_equal(grid, np.linspace(a, b, len(grid))):
-            tables, ends, grid_table = _reference_tables(basis.degree, rule.order, len(grid))
-            if b - a != 1.0:
-                tables = tuple(table * (b - a) ** -k for k, table in enumerate(tables))
-                ends = tuple(d / (b - a) for d in ends)
-        else:
-            points = np.concatenate([self.xs, spec.domain, grid])
-            tables, ends, grid_table = _split_tables(
-                basis.interior_table(points, (0, 1, 2)), len(self.xs)
-            )
+        self.xs, self.w = rule.points, rule.weights
+        self.grid = np.linspace(a, b, _GRID_POINTS)
+        tables, ends, self.grid_table = _reference_tables(n)
+        if b - a != 1.0:
+            tables = tuple(table * (b - a) ** -k for k, table in enumerate(tables))
+            ends = tuple(d / (b - a) for d in ends)
         self.tables = tables
         self.d1 = dict(zip("ab", ends))
-        self.grid_table = grid_table
         self.th = {
             which: tuple(theta.value(self.xs, order) for order in (0, 1, 2))
             for which, theta in self.theta.items()
         }
-        self.m = basis.degree - 1
+        self.m = n - 1
+
+
+def _solution_workspace(spec, sol):
+    """The workspace of sol's degree and offsets on spec's domain."""
+    if sol.basis.interval != spec.domain:
+        raise SpecValidationError(
+            f"solution interval {sol.basis.interval} differs from the problem domain {spec.domain}"
+        )
+    return _Workspace(spec, sol.basis.degree, (sol.offset_p, sol.offset_q))
 
 
 def _equation_blocks(ws, coeffs, forcing, bc, u, v):
@@ -310,8 +309,8 @@ def _equation_blocks(ws, coeffs, forcing, bc, u, v):
     return own, cross, rhs
 
 
-def assemble_linear(spec, basis, rule, offsets=None, *, workspace=None):
-    """Build the linear part of the discrete system.
+def assemble_linear(spec, degree, offsets=None, *, workspace=None):
+    """Build the linear part of the discrete system at the given degree.
 
     Returns an AssembledSystem whose matrix and rhs are independent of any
     iterate; for a purely linear problem this is the whole discretization.
@@ -322,7 +321,7 @@ def assemble_linear(spec, basis, rule, offsets=None, *, workspace=None):
         workspace: the solve's discretization, when the caller has already
             built it from these same arguments.
     """
-    ws = workspace or _Workspace(spec, basis, rule, offsets)
+    ws = workspace or _Workspace(spec, degree, offsets)
     # coefficient blowups surface via the finiteness check below, not warnings
     with np.errstate(over="ignore", invalid="ignore"):
         A, H, F = _equation_blocks(ws, spec.p_coeffs, spec.f, spec.bc_p, "p", "q")
@@ -367,29 +366,32 @@ def _coefficient_vector(sol):
     return np.concatenate([np.asarray(sol.coeffs_p, float), np.asarray(sol.coeffs_q, float)])
 
 
-def assemble_nonlinear_rhs(spec, basis, rule, current, *, workspace=None):
+def assemble_nonlinear_rhs(spec, current, *, workspace=None):
     """Load-vector contribution of the nonlinear terms at a given solution.
 
     Entry i of the block for an equation with nonlinear term M is
     -int M(x, p~, p~', p~'', q~, q~', q~'') B_i dx, with p~, q~ the full
-    trial functions of `current` (offsets included).  Zero blocks when the
-    corresponding term is absent.  workspace, when given, is the solve's
-    discretization, built with current's offsets.
+    trial functions of `current` (offsets included), at current's degree.
+    Zero blocks when the corresponding term is absent.  workspace, when
+    given, is the discretization of current on spec's domain; without it,
+    a current on another interval raises SpecValidationError.
     """
-    ws = workspace or _Workspace(spec, basis, rule, (current.offset_p, current.offset_q))
+    ws = workspace or _solution_workspace(spec, current)
     return _nonlinear_load(ws, _coefficient_vector(current))
 
 
-def residual_norm(spec, sol, basis, rule):
+def residual_norm(spec, sol):
     """Sup-norm of the discrete weighted residual at a solution.
 
-    Assembles the same system as assemble_linear (with the solution's own
-    offsets) and evaluates the nonlinear load at the solution itself, over
-    one shared discretization, so a fixed point of the lagged iteration
-    scores at the linear-solver residual scale.
+    Assembles the same system as assemble_linear at sol's degree (with the
+    solution's own offsets) and evaluates the nonlinear load at the solution
+    itself, over one shared discretization, so a fixed point of the lagged
+    iteration scores at the linear-solver residual scale.
+
+    Raises:
+        SpecValidationError: sol lives on another interval than spec.
     """
-    ws = _Workspace(spec, basis, rule, (sol.offset_p, sol.offset_q))
-    system = assemble_linear(spec, basis, rule, workspace=ws)
-    c = _coefficient_vector(sol)
-    nl = assemble_nonlinear_rhs(spec, basis, rule, sol, workspace=ws)
-    return float(np.max(np.abs(system.matrix @ c - system.rhs - nl)))
+    ws = _solution_workspace(spec, sol)
+    system = assemble_linear(spec, ws.basis.degree, workspace=ws)
+    nl = assemble_nonlinear_rhs(spec, sol, workspace=ws)
+    return float(np.max(np.abs(system.matrix @ _coefficient_vector(sol) - system.rhs - nl)))

@@ -19,6 +19,7 @@ and derivatives follow exactly from the identity
 exact polynomials.
 """
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,14 +45,18 @@ class BernsteinBasis:
     interval: tuple
 
     def __post_init__(self):
-        n = self.degree
+        try:
+            n = operator.index(self.degree)  # numpy integers too, not 5.0
+        except TypeError:
+            n = None
         a, b = self.interval
-        if not isinstance(n, int) or n < 3:
-            raise ValueError(f"degree must be an integer >= 3, got {n!r}")
+        if n is None or n < 3:
+            raise ValueError(f"degree must be an integer >= 3, got {self.degree!r}")
         if n > MAX_DEGREE:
             raise ValueError(f"degree {n} exceeds the supported cap {MAX_DEGREE}")
         if not (np.isfinite(a) and np.isfinite(b) and b > a):
             raise ValueError(f"interval must satisfy a < b, got {self.interval!r}")
+        object.__setattr__(self, "degree", n)
         object.__setattr__(self, "interval", (float(a), float(b)))
 
     @property

@@ -402,7 +402,7 @@ def _run_solve(args):
         converged = sol.converged
         replication = args.fixed_iters is not None
 
-    res = residual_norm(spec, sol, sol.basis, sol.rule)
+    res = residual_norm(spec, sol)
     print(
         f"degree {sol.basis.degree}, {sol.iterations_used} iterations, "
         f"converged={converged}, residual={res:.3e}",

@@ -60,22 +60,9 @@ def gauss_legendre(G, a, b):
     if not b > a:
         raise ValueError(f"interval must satisfy a < b, got ({a}, {b})")
 
-    points, weights = _mapped_rule(G, a, b)
-    return QuadratureRule(points=points, weights=weights, order=G)
-
-
-def _mapped_rule(G, a, b):
     t, w = _reference_rule(G)
     half = 0.5 * (b - a)
-    return 0.5 * (a + b) + half * t, half * w
-
-
-def is_gauss_legendre(rule, a, b):
-    """Whether rule has the nodes of gauss_legendre(rule.order, a, b), bit for bit."""
-    G = rule.order
-    if not (0 < G <= MAX_ORDER and np.shape(rule.points) == (G,)):
-        return False
-    return np.array_equal(rule.points, _mapped_rule(G, a, b)[0])
+    return QuadratureRule(points=0.5 * (a + b) + half * t, weights=half * w, order=G)
 
 
 def integrate(f, rule):

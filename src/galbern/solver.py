@@ -3,8 +3,8 @@
 A solve proceeds in two stages.  The bootstrap drops the nonlinear terms and
 solves the purely linear system once; every later iteration re-solves the
 same matrix against the linear load plus the nonlinear load evaluated on the
-previous iterate.  The discretization (basis tables, offset values) is built
-once per solve from tables cached per degree, and the matrix is factored
+previous iterate.  The degree fixes the discretization, which is built once
+per solve from tables cached per degree, and the matrix is factored
 once, K = QR, by LAPACK's Householder QR; a negligible diagonal entry of R is
 refused as a singular system.  The bootstrap is a back substitution on R plus
 one refinement step.  When iterations follow, R^-1 is formed once by back
@@ -22,13 +22,13 @@ same measure compares solutions of consecutive degrees in a refinement sweep.
 """
 
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
 from .assembly import _nonlinear_load, _Workspace, assemble_linear
 from .basis import MAX_DEGREE, BernsteinBasis
 from .errors import DivergenceError, NonConvergenceError, SingularSystemError
-from .quadrature import QuadratureRule, default_order, gauss_legendre
 
 # relative threshold below which a diagonal entry of R counts as singular
 _PIVOT_RTOL = 1e-13
@@ -36,9 +36,6 @@ _PIVOT_RTOL = 1e-13
 # width of the distance window and growth factor of the divergence heuristic
 _DIVERGENCE_WINDOW = 5
 _DIVERGENCE_FACTOR = 10.0
-
-# points of the uniform grid on which iterates and degrees are compared
-_GRID_POINTS = 101
 
 
 @dataclass(frozen=True)
@@ -49,9 +46,9 @@ class SolverConfig:
     converged; degree_tol plays the same role between consecutive degrees in
     refine_solve.  fixed_iters, when set, runs exactly that many lagged
     iterations after the bootstrap regardless of picard_tol (replication
-    mode).  Assembly always uses the max(24, 2n)-point Gauss rule, which
-    integrates every polynomial Galerkin integrand exactly, and distances are
-    measured on a uniform grid of 101 points.
+    mode).  The degree fixes the rest: assembly uses the max(24, 2n)-point
+    Gauss rule, which integrates every polynomial Galerkin integrand exactly,
+    and distances are measured on a uniform grid of 101 points.
     """
 
     picard_tol: float = 1e-10
@@ -64,6 +61,12 @@ class SolverConfig:
     def __post_init__(self):
         if not (0 < self.picard_tol < np.inf and 0 < self.degree_tol < np.inf):  # NaN fails too
             raise ValueError("tolerances must be positive and finite")
+        for name in ("max_picard_iters", "fixed_iters", "min_degree", "max_degree"):
+            value = getattr(self, name)
+            if value is None and name == "fixed_iters":
+                continue
+            if isinstance(value, bool) or not isinstance(value, Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.max_picard_iters < 1:
             raise ValueError("max_picard_iters must be >= 1")
         if self.fixed_iters is not None and self.fixed_iters < 0:
@@ -78,8 +81,8 @@ class SolverConfig:
 class Solution:
     """Offsets plus interior coefficients for the pair of unknowns.
 
-    picard_solve also fills rule, the quadrature it assembled with, and
-    grid_values, p and q as evaluate gives them on linspace(a, b, 101).
+    picard_solve also fills grid_values, p and q as evaluate gives them on
+    linspace(a, b, 101).
     """
 
     basis: BernsteinBasis
@@ -89,7 +92,6 @@ class Solution:
     coeffs_q: np.ndarray
     iterations_used: int
     converged: bool
-    rule: "QuadratureRule | None" = None
     grid_values: "np.ndarray | None" = None
 
     def __post_init__(self):
@@ -212,13 +214,8 @@ def picard_solve(spec, degree, config=None, offsets=None):
             finite.
     """
     config = config or SolverConfig()
-    a, b = spec.domain
-    basis = BernsteinBasis(degree, (a, b))
-    rule = gauss_legendre(default_order(degree), a, b)
-    grid = np.linspace(a, b, _GRID_POINTS)
-    ws = _Workspace(spec, basis, rule, offsets, grid)
-
-    system = assemble_linear(spec, basis, rule, workspace=ws)
+    ws = _Workspace(spec, degree, offsets)
+    system = assemble_linear(spec, ws.basis.degree, workspace=ws)
     m = system.size
     K, rhs = system.matrix, system.rhs
     factors = _qr_factor(K)
@@ -261,12 +258,12 @@ def picard_solve(spec, degree, config=None, offsets=None):
     coeffs = {"p": c[:m], "q": c[m:]}
     # evaluate's product; bit for bit on [0, 1], where the tables are too
     grid_values = np.array(
-        [ws.theta[u].value(grid) + cu @ ws.grid_table for u, cu in coeffs.items()]
+        [ws.theta[u].value(ws.grid) + cu @ ws.grid_table for u, cu in coeffs.items()]
     )
     return Solution(
-        basis=basis, offset_p=ws.theta["p"], offset_q=ws.theta["q"],
+        basis=ws.basis, offset_p=ws.theta["p"], offset_q=ws.theta["q"],
         coeffs_p=coeffs["p"], coeffs_q=coeffs["q"], iterations_used=k, converged=converged,
-        rule=rule, grid_values=grid_values,
+        grid_values=grid_values,
     )
 
 

@@ -137,7 +137,7 @@ class TestBuildOffset:
 class TestAssembleLinear:
     def test_example1_corner_entries(self):
         spec = preset("example1")
-        system = assemble_linear(spec, BernsteinBasis(3, (0.0, 1.0)), make_rule(3))
+        system = assemble_linear(spec, 3)
         # own-p entry (1,1): int(B1' B1'' + 2 B1' B1) - B1'(1)^2 = -9/2 + 0 - 0
         assert system.matrix[0, 0] == pytest.approx(-4.5, abs=1e-12)
         # cross entry (1,1): int x B1^2 dx = 9 * Beta(4, 5) = 9/280
@@ -146,7 +146,7 @@ class TestAssembleLinear:
     def test_example1_against_symbolic_oracle(self):
         spec = preset("example1")
         n = 3
-        system = assemble_linear(spec, BernsteinBasis(n, (0.0, 1.0)), make_rule(n))
+        system = assemble_linear(spec, n)
         K, rhs = symbolic_system(n, spec)
         assert system.matrix == pytest.approx(K, abs=1e-12)
         assert system.rhs == pytest.approx(rhs, abs=1e-12)
@@ -163,7 +163,7 @@ class TestAssembleLinear:
             bc_q=BoundaryData(-1.0, 0.5, "a", 0.5),
         )
         n = 4
-        system = assemble_linear(spec, BernsteinBasis(n, (0.0, 1.0)), make_rule(n))
+        system = assemble_linear(spec, n)
         K, rhs = symbolic_system(n, spec)
         assert system.matrix == pytest.approx(K, abs=1e-11)
         assert system.rhs == pytest.approx(rhs, abs=1e-11)
@@ -174,26 +174,24 @@ class TestAssembleLinear:
             bc_p=BoundaryData(0.0, 0.0, "a", 0.0),
             bc_q=BoundaryData(0.0, 0.0, "a", 0.0),
         )
-        system = assemble_linear(spec, BernsteinBasis(5, (0.0, 1.0)), make_rule(5))
+        system = assemble_linear(spec, 5)
         assert np.all(system.rhs == 0.0)
 
     def test_deterministic(self):
         spec = preset("example2")
-        basis = BernsteinBasis(4, (0.0, 1.0))
-        rule = make_rule(4)
-        s1 = assemble_linear(spec, basis, rule)
-        s2 = assemble_linear(spec, basis, rule)
+        s1 = assemble_linear(spec, 4)
+        s2 = assemble_linear(spec, 4)
         assert np.array_equal(s1.matrix, s2.matrix)
         assert np.array_equal(s1.rhs, s2.rhs)
 
     def test_quadrature_order_stability(self):
-        # polynomial coefficients: entries already exact at the default order
+        # polynomial coefficients: entries are already exact at the default
+        # order, so raising it changes nothing; compare with exact integrals
         spec = preset("example1")
-        basis = BernsteinBasis(4, (0.0, 1.0))
-        lo = assemble_linear(spec, basis, make_rule(4))
-        hi = assemble_linear(spec, basis, gauss_legendre(40, 0.0, 1.0))
-        assert np.max(np.abs(lo.matrix - hi.matrix)) <= 1e-12
-        assert np.max(np.abs(lo.rhs - hi.rhs)) <= 1e-12
+        system = assemble_linear(spec, 4)
+        K, rhs = symbolic_system(4, spec)
+        assert np.max(np.abs(system.matrix - K)) <= 1e-12
+        assert np.max(np.abs(system.rhs - rhs)) <= 1e-12
 
     def test_decoupling_without_cross_terms(self):
         spec = ProblemSpec(
@@ -206,7 +204,7 @@ class TestAssembleLinear:
             bc_q=BoundaryData(1.0, 0.0, "a", 0.0),
         )
         m = 4
-        system = assemble_linear(spec, BernsteinBasis(5, (0.0, 1.0)), make_rule(5))
+        system = assemble_linear(spec, 5)
         assert np.all(system.matrix[:m, m:] == 0.0)
         assert np.all(system.matrix[m:, :m] == 0.0)
 
@@ -216,7 +214,7 @@ class TestAssembleLinear:
         n = 3
         basis = BernsteinBasis(n, (0.0, 1.0))
         rule = make_rule(n)
-        system = assemble_linear(spec, basis, rule)
+        system = assemble_linear(spec, n)
         d1b = np.array([basis.eval_deriv(j, 1.0, 1) for j in basis.interior_indices()])
         for row, i in enumerate(basis.interior_indices()):
             for col, j in enumerate(basis.interior_indices()):
@@ -237,13 +235,13 @@ class TestAssembleLinear:
             bc_q=BoundaryData(0.0, 0.0, "a", 0.0),
         )
         with pytest.raises(AssemblyError):
-            assemble_linear(spec, BernsteinBasis(3, (0.0, 1.0)), make_rule(3))
+            assemble_linear(spec, 3)
 
     def test_mismatched_offset_rejected(self):
         spec = preset("example2")
         bad = (AffineOffset((0.0, 0.5)), AffineOffset((0.0, 1.0)))  # p offset misses p(1)=1
         with pytest.raises(SpecValidationError):
-            assemble_linear(spec, BernsteinBasis(3, (0.0, 1.0)), make_rule(3), bad)
+            assemble_linear(spec, 3, bad)
 
 
 def _manual_solution(basis, coeffs_p, coeffs_q, bc_p, bc_q):
@@ -264,7 +262,7 @@ class TestNonlinearRhs:
         spec = preset("example1")  # nonlinear term only in the q equation
         basis = BernsteinBasis(3, (0.0, 1.0))
         sol = _manual_solution(basis, [0.5, -0.25], [1.0, 2.0], spec.bc_p, spec.bc_q)
-        vec = assemble_nonlinear_rhs(spec, basis, make_rule(3), sol)
+        vec = assemble_nonlinear_rhs(spec, sol)
         assert np.all(vec[:2] == 0.0)
         assert np.any(vec[2:] != 0.0)
 
@@ -272,14 +270,14 @@ class TestNonlinearRhs:
         spec = preset("example1")
         basis = BernsteinBasis(3, (0.0, 1.0))
         sol = _manual_solution(basis, [0.0, 0.0], [0.0, 0.0], spec.bc_p, spec.bc_q)
-        assert np.all(assemble_nonlinear_rhs(spec, basis, make_rule(3), sol) == 0.0)
+        assert np.all(assemble_nonlinear_rhs(spec, sol) == 0.0)
 
     def test_vanishing_factor_gives_zero_vector(self):
         # q coefficients all zero make q'' identically zero in the product
         spec = preset("example1")
         basis = BernsteinBasis(3, (0.0, 1.0))
         sol = _manual_solution(basis, [3.0, 0.0], [0.0, 0.0], spec.bc_p, spec.bc_q)
-        assert np.all(assemble_nonlinear_rhs(spec, basis, make_rule(3), sol) == 0.0)
+        assert np.all(assemble_nonlinear_rhs(spec, sol) == 0.0)
 
     def test_against_symbolic_integration(self):
         spec = preset("example1")
@@ -291,7 +289,7 @@ class TestNonlinearRhs:
             basis, [float(c) for c in coeffs_p], [float(c) for c in coeffs_q],
             spec.bc_p, spec.bc_q,
         )
-        vec = assemble_nonlinear_rhs(spec, basis, make_rule(n), sol)
+        vec = assemble_nonlinear_rhs(spec, sol)
 
         phi = _sym_members(n)
         p2 = sum(c * sp.diff(phi[j], X, 2) for c, j in zip(coeffs_p, (1, 2)))
@@ -306,7 +304,7 @@ class TestNonlinearRhs:
         spec = preset("example2")  # m1 = p'' q', m2 = p' q''
         basis = BernsteinBasis(3, (0.0, 1.0))
         sol = _manual_solution(basis, [0.0, 0.0], [0.0, 0.0], spec.bc_p, spec.bc_q)
-        vec = assemble_nonlinear_rhs(spec, basis, make_rule(3), sol)
+        vec = assemble_nonlinear_rhs(spec, sol)
         # offsets are linear (theta'' = 0), so both products vanish here
         assert np.all(vec == 0.0)
         # a curved offset does not vanish
@@ -316,7 +314,7 @@ class TestNonlinearRhs:
             coeffs_p=np.zeros(2), coeffs_q=np.zeros(2),
             iterations_used=0, converged=False,
         )
-        vec2 = assemble_nonlinear_rhs(spec, basis, make_rule(3), sol2)
+        vec2 = assemble_nonlinear_rhs(spec, sol2)
         phi = _sym_members(3)
         for row, i in enumerate((1, 2)):
             expected = -sp.integrate(2 * 2 * X * phi[i], (X, 0, 1))  # p''q' = 2 * 2x
@@ -326,14 +324,16 @@ class TestNonlinearRhs:
 class TestWorkspace:
     """The one-pass tables must equal separate interior_table calls."""
 
-    @pytest.mark.parametrize("grid_points", [0, 101])
-    def test_tables_equal_separate_calls(self, grid_points):
+    def test_tables_equal_separate_calls(self):
         spec = preset("example4")
         a, b = spec.domain
         basis = BernsteinBasis(30, (a, b))
         rule = make_rule(30, (a, b))
-        grid = np.linspace(a, b, grid_points)
-        ws = _Workspace(spec, basis, rule, None, grid)
+        grid = np.linspace(a, b, 101)
+        ws = _Workspace(spec, 30)
+        assert ws.xs.tobytes() == rule.points.tobytes()
+        assert ws.w.tobytes() == rule.weights.tobytes()
+        assert ws.grid.tobytes() == grid.tobytes()
         for order, table in enumerate(ws.tables):
             assert table.flags.c_contiguous
             assert table.tobytes() == basis.interior_table(rule.points, order).tobytes()
@@ -342,11 +342,6 @@ class TestWorkspace:
         assert ws.d1["b"].tobytes() == ends[:, 1].tobytes()
         assert ws.grid_table.flags.c_contiguous
         assert ws.grid_table.tobytes() == basis.interior_table(grid).tobytes()
-
-    def test_grid_defaults_to_empty(self):
-        spec = preset("example1")
-        ws = _Workspace(spec, BernsteinBasis(5, spec.domain), make_rule(5), None)
-        assert ws.grid_table.shape == (4, 0)
 
 
 def _bare_spec(domain, **terms):
@@ -364,7 +359,7 @@ class TestReferenceTables:
         basis = BernsteinBasis(degree, self.DOMAIN)
         rule = make_rule(degree, self.DOMAIN)
         grid = np.linspace(*self.DOMAIN, 101)
-        ws = _Workspace(_bare_spec(self.DOMAIN), basis, rule, None, grid)
+        ws = _Workspace(_bare_spec(self.DOMAIN), degree)
         direct = list(basis.interior_table(rule.points, (0, 1, 2)))
         ends = basis.interior_table(self.DOMAIN, 1)
         direct += [ends[:, 0], ends[:, 1], basis.interior_table(grid)]
@@ -375,30 +370,12 @@ class TestReferenceTables:
     def test_domains_of_one_degree_share_one_read_only_entry(self):
         _reference_tables.cache_clear()
         for domain in ((0.0, 1.0), self.DOMAIN, (2.0, 2.5)):
-            basis = BernsteinBasis(12, domain)
-            _Workspace(_bare_spec(domain), basis, make_rule(12, domain), None, np.linspace(*domain, 101))
+            _Workspace(_bare_spec(domain), 12)
         info = _reference_tables.cache_info()
         assert (info.misses, info.hits) == (1, 2)
-        tables, ends, grid_table = _reference_tables(12, make_rule(12).order, 101)
+        tables, ends, grid_table = _reference_tables(12)
         for array in (*tables, *ends, grid_table):
             assert not array.flags.writeable
-
-    @pytest.mark.parametrize("points", [
-        np.linspace(0.05, 0.95, 24),  # the Gauss order of degree 12, other nodes
-        np.asarray(make_rule(12).points) * (1 - 1e-15),  # Gauss nodes a round-off off
-    ])
-    def test_hand_built_rule_gets_its_own_tables(self, points):
-        rule = gb.QuadratureRule(points=points, weights=np.full(24, 1 / 24), order=24)
-        basis = BernsteinBasis(12, (0.0, 1.0))
-        ws = _Workspace(_bare_spec((0.0, 1.0)), basis, rule, None)
-        for order, table in enumerate(ws.tables):
-            assert table.tobytes() == basis.interior_table(points, order).tobytes()
-
-    def test_uneven_grid_gets_its_own_table(self):
-        grid = np.linspace(0.0, 1.0, 101) ** 2
-        basis = BernsteinBasis(12, (0.0, 1.0))
-        ws = _Workspace(_bare_spec((0.0, 1.0)), basis, make_rule(12), None, grid)
-        assert ws.grid_table.tobytes() == basis.interior_table(grid).tobytes()
 
 
 class TestAbsentCoefficients:
@@ -424,10 +401,8 @@ class TestAbsentCoefficients:
     def test_zero_coefficients_assemble_what_none_does(self, spec):
         zeros = self._zeros_for_none(spec)
         assert all(c is not None for c in zeros.p_coeffs + zeros.q_coeffs)
-        basis = BernsteinBasis(9, spec.domain)
-        rule = make_rule(9, spec.domain)
-        with_none = assemble_linear(spec, basis, rule)
-        with_zero = assemble_linear(zeros, basis, rule)
+        with_none = assemble_linear(spec, 9)
+        with_zero = assemble_linear(zeros, 9)
         assert np.array_equal(with_none.matrix, with_zero.matrix)
         assert np.array_equal(with_none.rhs, with_zero.rhs)
 
@@ -441,17 +416,17 @@ class TestResidualNorm:
         )
         basis = BernsteinBasis(3, (0.0, 1.0))
         sol = _manual_solution(basis, [0.0, 0.0], [0.0, 0.0], spec.bc_p, spec.bc_q)
-        assert residual_norm(spec, sol, basis, make_rule(3)) == 0.0
+        assert residual_norm(spec, sol) == 0.0
 
     def test_in_space_solution_is_a_fixed_point(self):
         spec = preset("example1")
         sol = picard_solve(spec, 4)
-        assert residual_norm(spec, sol, sol.basis, make_rule(4)) <= 1e-8
+        assert residual_norm(spec, sol) <= 1e-8
 
     def test_converged_coarse_solution_is_a_fixed_point(self):
         spec = preset("example2")
         sol = picard_solve(spec, 3)
-        assert residual_norm(spec, sol, sol.basis, make_rule(3)) <= 1e-8
+        assert residual_norm(spec, sol) <= 1e-8
 
     def test_perturbed_solution_scores_badly(self):
         spec = preset("example1")
@@ -461,7 +436,7 @@ class TestResidualNorm:
             coeffs_p=sol.coeffs_p + 0.1, coeffs_q=sol.coeffs_q,
             iterations_used=0, converged=False,
         )
-        assert residual_norm(spec, worse, sol.basis, make_rule(3)) > 1e-3
+        assert residual_norm(spec, worse) > 1e-3
 
 
 class TestOffsetInvariance:
@@ -510,6 +485,12 @@ class TestSpecValidation:
             BoundaryData(*args)
 
     def test_basis_domain_mismatch(self):
+        # a solution on another interval cannot be scored against the problem
         spec = preset("example1")
-        with pytest.raises(SpecValidationError):
-            assemble_linear(spec, BernsteinBasis(3, (0.0, 2.0)), make_rule(3, (0.0, 2.0)))
+        other = BernsteinBasis(3, (0.0, 2.0))
+        sol = _manual_solution(other, [0.5, -0.25], [1.0, 2.0], spec.bc_p, spec.bc_q)
+        message = r"solution interval \(0\.0, 2\.0\) differs from the problem domain"
+        with pytest.raises(SpecValidationError, match=message):
+            residual_norm(spec, sol)
+        with pytest.raises(SpecValidationError, match=message):
+            assemble_nonlinear_rhs(spec, sol)

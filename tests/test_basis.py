@@ -240,6 +240,12 @@ class TestValidation:
         with pytest.raises(ValueError):
             BernsteinBasis(31, (0.0, 1.0))
 
+    def test_numpy_integer_degree_is_stored_as_int(self):
+        basis = BernsteinBasis(np.int64(5), (0.0, 1.0))
+        assert type(basis.degree) is int and basis == BernsteinBasis(5, (0.0, 1.0))
+        with pytest.raises(ValueError, match="degree must be an integer >= 3, got 5.0"):
+            BernsteinBasis(5.0, (0.0, 1.0))
+
     def test_bad_interval(self):
         with pytest.raises(ValueError):
             BernsteinBasis(3, (1.0, 1.0))

@@ -12,6 +12,7 @@ import sympy as sp
 
 import galbern as gb
 from galbern import ProblemFileError, dump_problem, load_problem, load_sixth_order, preset
+from galbern.assembly import _GRID_POINTS, _reference_tables
 from galbern.cli import PRESETS, error_table, format_samples, run, sample_points
 
 PROBLEMS_DIR = Path(__file__).resolve().parent.parent / "problems"
@@ -483,22 +484,30 @@ class TestRunSolve:
         assert capsys.readouterr().err == "error: --sweep expects MAX <= 30, got '3..40'\n"
         assert solved == []
 
-    def test_residual_uses_the_solve_rule(self, capsys, monkeypatch):
-        seen = []
-
-        def recording(spec, sol, basis, rule):
-            seen.append((sol, rule, gb.residual_norm(spec, sol, basis, rule)))
-            return seen[-1][2]
-
-        monkeypatch.setattr(gb.cli, "residual_norm", recording)
+    def test_residual_uses_the_solve_rule(self, capsys):
+        # the printed residual is that of the reported solution, on the
+        # discretization its degree fixes
         status = run(["solve", "--preset", "example1", "--degree", "5"])
         assert status == 0
-        ((sol, rule, res),) = seen
-        assert rule.order == gb.default_order(5)
         spec = preset("example1")
-        expected = gb.gauss_legendre(gb.default_order(5), 0.0, 1.0)
-        assert res == gb.residual_norm(spec, sol, sol.basis, expected)
+        res = gb.residual_norm(spec, gb.picard_solve(spec, 5))
         assert f"residual={res:.3e}" in capsys.readouterr().err
+
+    def test_cold_solve_tabulates_each_point_set_once(self, capsys, monkeypatch):
+        # the residual check reads the solve's cache entry: one recurrence
+        # pass over nodes, ends and grid, then one over the 9 report points
+        sizes = []
+        original = gb.BernsteinBasis.interior_table
+
+        def counting(self, x, order=0):
+            sizes.append(np.size(x))
+            return original(self, x, order)
+
+        monkeypatch.setattr(gb.BernsteinBasis, "interior_table", counting)
+        _reference_tables.cache_clear()
+        assert run(["solve", "--preset", "example2", "--degree", "12"]) == 0
+        assert sizes == [gb.default_order(12) + 2 + _GRID_POINTS, 9]
+        assert _reference_tables.cache_info().currsize == 1
 
     def test_help_states_accepted_ranges(self, capsys):
         with pytest.raises(SystemExit):

@@ -16,14 +16,14 @@ from galbern import (
     solve_dense,
 )
 from galbern.assembly import (
+    _GRID_POINTS,
     _reference_tables,
     assemble_linear,
     assemble_nonlinear_rhs,
     residual_norm,
 )
 from galbern.cli import preset
-from galbern.quadrature import default_order, gauss_legendre
-from galbern.solver import _GRID_POINTS, _PIVOT_RTOL, _qr_factor
+from galbern.solver import _PIVOT_RTOL, _qr_factor
 
 # reference coefficients in the display basis x(1-x)^2, x^2(1-x); the first
 # pair is the discrete fixed point (iterated to machine convergence), the
@@ -151,8 +151,7 @@ class TestQrFactor:
 
     def test_factors_reproduce_example2_degree30_matrix(self):
         spec = preset("example2")
-        basis = gb.BernsteinBasis(30, spec.domain)
-        system = assemble_linear(spec, basis, gauss_legendre(default_order(30), *spec.domain))
+        system = assemble_linear(spec, 30)
         assert system.matrix.shape == (58, 58)
         self.assert_factors_reproduce(system.matrix)
 
@@ -198,6 +197,15 @@ class TestPicardSolve:
         sol = picard_solve(preset("example1"), 3, SolverConfig(fixed_iters=5))
         assert display_coeffs(sol, "p") == pytest.approx(EX1_REFERENCE["p"], abs=1e-7)
         assert display_coeffs(sol, "q") == pytest.approx(EX1_REFERENCE["q"], abs=1e-7)
+
+    def test_numpy_integer_degree_solves_like_an_int(self):
+        spec = preset("example2")
+        sol = picard_solve(spec, np.int64(5))
+        ref = picard_solve(spec, 5)
+        assert type(sol.basis.degree) is int and sol.basis == ref.basis
+        for field in ("coeffs_p", "coeffs_q", "grid_values"):
+            assert getattr(sol, field).tobytes() == getattr(ref, field).tobytes()
+        assert sol.iterations_used == ref.iterations_used
 
     def test_example1_pointwise_error_at_half(self):
         spec = preset("example1")
@@ -358,12 +366,12 @@ class TestDefectCorrectionIteration:
     @staticmethod
     def plain_lagged_iterate(spec, sol, iterations):
         # c = K^-1 (rhs + N(c)) from the linear bootstrap, each solve by substitution
-        system = assemble_linear(spec, sol.basis, sol.rule)
+        system = assemble_linear(spec, sol.basis.degree)
         m = system.size
         c = solve_dense(system.matrix, system.rhs)
         for _ in range(iterations):
             lagged = replace(sol, coeffs_p=c[:m], coeffs_q=c[m:])
-            nl = assemble_nonlinear_rhs(spec, sol.basis, sol.rule, lagged)
+            nl = assemble_nonlinear_rhs(spec, lagged)
             c = solve_dense(system.matrix, system.rhs + nl)
         return replace(sol, coeffs_p=c[:m], coeffs_q=c[m:])
 
@@ -397,7 +405,7 @@ class TestDefectCorrectionIteration:
     def test_fixed_point_residual_at_round_off(self, name, degree):
         spec = preset(name)
         sol = picard_solve(spec, degree, SolverConfig(fixed_iters=40))
-        assert residual_norm(spec, sol, sol.basis, sol.rule) <= 1e-13
+        assert residual_norm(spec, sol) <= 1e-13
 
     def test_one_substitution_per_iteration(self, monkeypatch):
         calls = []
@@ -569,6 +577,9 @@ class TestEvalSolution:
 
 
 class TestSolutionCarriesRuleAndGrid:
+    """A solve's discretization: the system it assembles and the grid values
+    it returns."""
+
     CASES = [
         ("example3", 8, SolverConfig()),  # linear: the bootstrap is the answer
         ("example1", 5, SolverConfig(fixed_iters=0)),
@@ -587,12 +598,22 @@ class TestSolutionCarriesRuleAndGrid:
         assert sol.grid_values.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("name, degree, config", CASES)
-    def test_rule_is_the_assembly_rule(self, name, degree, config):
+    def test_rule_is_the_assembly_rule(self, name, degree, config, monkeypatch):
+        # a solve assembles once, and what it factors is assemble_linear's
+        # system at that degree, bit for bit
+        systems = []
+
+        def recording(*args, **kwargs):
+            systems.append(assemble_linear(*args, **kwargs))
+            return systems[-1]
+
+        monkeypatch.setattr(gb.solver, "assemble_linear", recording)
         spec = preset(name)
-        sol = picard_solve(spec, degree, config)
-        assert sol.rule.order == default_order(degree)
-        expected = gauss_legendre(sol.rule.order, *spec.domain)
-        assert sol.rule.points.tobytes() == expected.points.tobytes()
+        picard_solve(spec, degree, config)
+        (system,) = systems
+        fresh = assemble_linear(spec, degree)
+        assert system.matrix.tobytes() == fresh.matrix.tobytes()
+        assert system.rhs.tobytes() == fresh.rhs.tobytes()
 
     def test_grid_values_match_evaluate_off_the_unit_interval(self):
         # off [0, 1] the grid table is the cached one, scaled: it matches a
@@ -614,7 +635,7 @@ class TestSolutionCarriesRuleAndGrid:
             basis=sol.basis, offset_p=sol.offset_p, offset_q=sol.offset_q,
             coeffs_p=sol.coeffs_p, coeffs_q=sol.coeffs_q, iterations_used=0, converged=True,
         )
-        assert bare.rule is None and bare.grid_values is None
+        assert bare.grid_values is None
 
 
 class TestRefineSolve:
@@ -711,6 +732,20 @@ class TestSolverConfig:
             SolverConfig(degree_tol=float("inf"))
         with pytest.raises(ValueError, match="max_degree 31 exceeds the degree cap 30"):
             SolverConfig(max_degree=31)
+        # counts must be integers: a float or bool would reach range() or the report
+        for name, value in [
+            ("max_picard_iters", 2.5),
+            ("max_picard_iters", True),
+            ("fixed_iters", 2.5),
+            ("fixed_iters", False),
+            ("min_degree", 3.5),
+            ("max_degree", 12.0),
+            ("max_degree", "12"),
+        ]:
+            with pytest.raises(ValueError, match=f"^{name} must be an integer, got {value!r}$"):
+                SolverConfig(**{name: value})
 
     def test_accepts_the_edge_values(self):
         SolverConfig(min_degree=30, max_degree=30, picard_tol=1e300)
+        SolverConfig(max_picard_iters=np.int64(1), fixed_iters=np.int32(0),
+                     min_degree=np.int64(3), max_degree=np.int64(3))
