@@ -178,8 +178,9 @@ def _offset_or_default(offsets, spec):
     for theta, bc, tag in ((theta_p, spec.bc_p, "p"), (theta_q, spec.bc_q, "q")):
         a, b = spec.domain
         scale = 1.0 + abs(bc.value_a) + abs(bc.value_b)
-        if abs(theta.value(a) - bc.value_a) > 1e-13 * scale or (
-            abs(theta.value(b) - bc.value_b) > 1e-13 * scale
+        if not (  # written so that a NaN endpoint value fails it too
+            abs(theta.value(a) - bc.value_a) <= 1e-13 * scale
+            and abs(theta.value(b) - bc.value_b) <= 1e-13 * scale
         ):
             raise SpecValidationError(
                 f"offset for {tag} does not interpolate its endpoint values"

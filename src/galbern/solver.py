@@ -6,11 +6,12 @@ same matrix against the linear load plus the nonlinear load evaluated on the
 previous iterate.  The degree fixes the discretization, which is built once
 per solve from tables cached per degree, and the matrix is factored
 once, K = QR, by LAPACK's Householder QR; a negligible diagonal entry of R is
-refused as a singular system.  The bootstrap is a back substitution on R plus
-one refinement step.  When iterations follow, R^-1 is formed once by back
-substitution, and each iteration costs one vectorized expression evaluation
-per nonlinear term and four mat-vecs on the current defect d: y = Q^T d and
-x = R^-1 y, refined once as x + R^-1 (y - R x).  The inverse is of R, not of
+refused as a singular system.  R is then eliminated once, to form R^-1,
+and every application of K^-1 is the same correction of a defect d: y = Q^T d
+and x = R^-1 y, refined once as x + R^-1 (y - R x).  The bootstrap applies it
+to the linear load and once more to its residual against K; each iteration
+applies it to the defect of the current iterate after one vectorized
+expression evaluation per nonlinear term.  The inverse is of R, not of
 K: an explicit K^-1 at cond(K) ~ 2e15 gives I - K^-1 K a spectral radius
 above 1 and changes iteration counts, while the triangular inverse is as
 accurate as substitution (Du Croz and Higham 1992) once its product is
@@ -28,7 +29,7 @@ import numpy as np
 
 from .assembly import _nonlinear_load, _Workspace, assemble_linear
 from .basis import MAX_DEGREE, BernsteinBasis
-from .errors import DivergenceError, NonConvergenceError, SingularSystemError
+from .errors import DivergenceError, NonConvergenceError, SingularSystemError, SpecValidationError
 
 # relative threshold below which a diagonal entry of R counts as singular
 _PIVOT_RTOL = 1e-13
@@ -95,8 +96,13 @@ class Solution:
     grid_values: "np.ndarray | None" = None
 
     def __post_init__(self):
-        self.coeffs_p.setflags(write=False)
-        self.coeffs_q.setflags(write=False)
+        m = self.basis.degree - 1
+        for name in ("coeffs_p", "coeffs_q"):
+            coeffs = np.asarray(getattr(self, name), dtype=float)
+            if coeffs.shape != (m,):
+                raise SpecValidationError(f"{name} must have shape ({m},), got {coeffs.shape}")
+            coeffs.setflags(write=False)
+            object.__setattr__(self, name, coeffs)
         if self.grid_values is not None:
             self.grid_values.setflags(write=False)
 
@@ -133,14 +139,14 @@ class DegreeHistory:
 
 
 def _qr_factor(K):
-    """Householder QR factors of the square matrix K.
+    """Householder QR factors of the square matrix K, and R^-1.
 
-    Returns (K, Q, R): the matrix itself, for refinement, and its orthogonal
-    and upper-triangular factors, so that K = Q @ R.
+    Returns (Q, R, Rinv), with K = Q @ R, R upper triangular and Rinv its
+    inverse, formed by the one elimination of R that a solve makes.
 
     Raises:
         SingularSystemError: the first diagonal entry of R below
-            1e-13 * max|K|, by its index and magnitude.
+            1e-13 * max|K|, by its index and magnitude; no inverse is formed.
     """
     Q, R = np.linalg.qr(K)
     diag = np.abs(np.diagonal(R))
@@ -148,43 +154,41 @@ def _qr_factor(K):
     small = np.flatnonzero(diag < threshold)
     if small.size:
         raise SingularSystemError(int(small[0]), diag[small[0]])
-    return K, Q, R
+    return Q, R, np.linalg.solve(R, np.eye(len(R)))
 
 
-def _qr_substitute(factors, r):
-    """K^-1 r = R^-1 (Q^T r), with the factors of _qr_factor.
-
-    The np.linalg.solve call is one LAPACK dgesv on R.  Every entry below
-    R's diagonal is zero, so its partial pivoting swaps no rows and its
-    elimination, which still runs, leaves R as it is: the result is the back
-    substitution on R.
-    """
-    _, Q, R = factors
-    return np.linalg.solve(R, Q.T @ r)
+def _qr_correct(factors, d):
+    """K^-1 d as R^-1 (Q^T d), the product refined once against R."""
+    Q, R, Rinv = factors
+    y = Q.T @ d
+    x = Rinv @ y
+    x += Rinv @ (y - R @ x)
+    return x
 
 
-def _qr_solve(factors, b0):
-    """Solve with the factors of _qr_factor plus one step of refinement."""
-    x = _qr_substitute(factors, b0)
-    x += _qr_substitute(factors, b0 - factors[0] @ x)
+def _qr_solve(K, factors, b):
+    """Solve K x = b with the factors of _qr_factor plus one refinement against K."""
+    x = _qr_correct(factors, b)
+    x += _qr_correct(factors, b - K @ x)
     return x
 
 
 def solve_dense(K, rhs):
     """Solve K x = rhs by Householder QR factorization, K = QR.
 
-    One step of iterative refinement keeps the residual below
-    1e-10 * (1 + max|rhs|) for the well-scaled systems assembled here.
+    R is eliminated once to form R^-1; the solve is R^-1 Q^T rhs, refined
+    once against R and then once more against K, which keeps the residual
+    below 1e-10 * (1 + max|rhs|) for the well-scaled systems assembled here.
 
     Raises:
-        ValueError: K and rhs are not a square matrix and a matching vector,
-            or hold a non-finite entry.
+        ValueError: K and rhs are not a non-empty square matrix and a
+            matching vector, or hold a non-finite entry.
         SingularSystemError: a diagonal entry of R fell below 1e-13 * max|K|.
     """
     A0 = np.asarray(K, dtype=float)
     b0 = np.asarray(rhs, dtype=float)
-    n = A0.shape[0]
-    if A0.shape != (n, n) or b0.shape != (n,):
+    n = A0.shape[0] if A0.ndim == 2 else 0
+    if n == 0 or A0.shape != (n, n) or b0.shape != (n,):
         raise ValueError(f"shape mismatch: matrix {A0.shape}, rhs {b0.shape}")
     if not np.all(np.isfinite(A0)):
         i, j = np.argwhere(~np.isfinite(A0))[0]
@@ -192,7 +196,7 @@ def solve_dense(K, rhs):
     if not np.all(np.isfinite(b0)):
         (i,) = np.argwhere(~np.isfinite(b0))[0]
         raise ValueError(f"non-finite right-hand side entry at row {i}")
-    return _qr_solve(_qr_factor(A0), b0)
+    return _qr_solve(A0, _qr_factor(A0), b0)
 
 
 def picard_solve(spec, degree, config=None, offsets=None):
@@ -219,24 +223,17 @@ def picard_solve(spec, degree, config=None, offsets=None):
     m = system.size
     K, rhs = system.matrix, system.rhs
     factors = _qr_factor(K)
-    c = _qr_solve(factors, rhs)
+    c = _qr_solve(K, factors, rhs)
     converged = spec.is_linear
     target = 0 if converged else (
         config.fixed_iters if config.fixed_iters is not None else config.max_picard_iters
     )
-    if target:
-        _, Q, R = factors
-        Rinv = np.linalg.solve(R, np.eye(2 * m))
     distances = []
     k = 0
     for k in range(1, target + 1):
-        nl = _nonlinear_load(ws, c)
-        # defect correction: the lagged step c = K^-1 (rhs + nl) with the
-        # refinement folded in; R^-1 is applied once more to its residual
-        # against R, which keeps the iterates as accurate as substitution
-        y = Q.T @ (rhs + nl - K @ c)
-        step = Rinv @ y
-        step += Rinv @ (y - R @ step)
+        # defect correction: the lagged step c = K^-1 (rhs + nonlinear load),
+        # taken as a correction to the current iterate
+        step = _qr_correct(factors, rhs + _nonlinear_load(ws, c) - K @ c)
         c = c + step
         if not np.all(np.isfinite(c)):
             raise DivergenceError(k, "iterate became non-finite")

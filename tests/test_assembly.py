@@ -239,9 +239,16 @@ class TestAssembleLinear:
 
     def test_mismatched_offset_rejected(self):
         spec = preset("example2")
-        bad = (AffineOffset((0.0, 0.5)), AffineOffset((0.0, 1.0)))  # p offset misses p(1)=1
-        with pytest.raises(SpecValidationError):
-            assemble_linear(spec, 3, bad)
+        theta_q = AffineOffset((0.0, 1.0))
+        # the p offset misses p(1)=1, or is NaN at the left end, which no
+        # tolerance comparison may let through
+        for theta_p in (AffineOffset((0.0, 0.5)), AffineOffset((np.nan, 1.0))):
+            with pytest.raises(SpecValidationError, match="offset for p"):
+                assemble_linear(spec, 3, (theta_p, theta_q))
+        example1 = preset("example1")
+        nan_p = (AffineOffset((np.nan, 1.0)), build_offset(example1.bc_q, example1.domain))
+        with pytest.raises(SpecValidationError, match="offset for p"):
+            picard_solve(example1, 5, offsets=nan_p)
 
 
 def _manual_solution(basis, coeffs_p, coeffs_q, bc_p, bc_q):

@@ -85,8 +85,9 @@ class TestSolveDense:
         assert np.max(np.abs(K @ x - rhs)) <= 1e-10 * (1 + np.max(np.abs(rhs)))
 
     def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            solve_dense(np.eye(3), np.zeros(2))
+        for K, rhs in ((np.eye(3), np.zeros(2)), (3.0, [1.0]), (np.zeros((0, 0)), np.zeros(0))):
+            with pytest.raises(ValueError, match="shape mismatch"):
+                solve_dense(K, rhs)
 
     def test_nan_matrix_entry_named(self):
         K = np.eye(3)
@@ -143,9 +144,11 @@ def rank_deficient_58x58():
 class TestQrFactor:
     @staticmethod
     def assert_factors_reproduce(K):
-        K_, Q, R = _qr_factor(K)
-        assert K_ is K
+        Q, R, Rinv = _qr_factor(K)
         assert np.array_equal(R, np.triu(R))
+        # R^-1 is triangular too, and R R^-1 = I to round-off entry by entry
+        assert np.array_equal(Rinv, np.triu(Rinv))
+        assert np.all(np.abs(R @ Rinv - np.eye(len(K))) <= 1e-14 * (np.abs(R) @ np.abs(Rinv)))
         assert np.max(np.abs(Q @ R - K)) <= 1e-14 * np.max(np.abs(K))
         assert np.max(np.abs(Q.T @ Q - np.eye(len(K)))) <= 1e-14
 
@@ -407,7 +410,7 @@ class TestDefectCorrectionIteration:
         sol = picard_solve(spec, degree, SolverConfig(fixed_iters=40))
         assert residual_norm(spec, sol) <= 1e-13
 
-    def test_one_substitution_per_iteration(self, monkeypatch):
+    def test_one_elimination_per_solve(self, monkeypatch):
         calls = []
         original = np.linalg.solve
 
@@ -416,9 +419,9 @@ class TestDefectCorrectionIteration:
             return original(a, b)
 
         monkeypatch.setattr(np.linalg, "solve", counting)
-        # the bootstrap substitutes twice on R (solve and refinement); a
-        # nonlinear solve then forms R^-1 once, by one more call, and every
-        # iteration applies it by mat-vecs, whatever the iteration count
+        # R is eliminated once, to form R^-1; the bootstrap, its refinement
+        # and every iteration apply it by mat-vecs, whatever the iteration
+        # count and whether or not the problem is linear
         for name, degree, config, iterations in (
             ("example2", 30, SolverConfig(), 13),
             ("example4", 30, SolverConfig(), 4),
@@ -430,9 +433,10 @@ class TestDefectCorrectionIteration:
             sol = picard_solve(preset(name), degree, config)
             assert sol.iterations_used == iterations
             size = 2 * (degree - 1)
-            substitutions = [((size, size), (size,))] * 2
-            inverse = [((size, size), (size, size))] if iterations else []
-            assert calls == substitutions + inverse, (name, degree)
+            assert calls == [((size, size), (size, size))], (name, degree)
+        calls.clear()
+        solve_dense(np.eye(4), np.ones(4))
+        assert calls == [((4, 4), (4, 4))]
 
     @pytest.mark.parametrize("degree", [26, 28, 30])
     def test_linear_problem_keeps_substitution_accuracy(self, degree):
@@ -574,6 +578,22 @@ class TestEvalSolution:
         sol = picard_solve(preset("example1"), 3)
         with pytest.raises(ValueError):
             sol.coeffs_p[0] = 1.0
+
+    def test_coefficients_checked_against_the_basis(self):
+        sol = picard_solve(preset("example1"), 3)
+        fields = dict(
+            basis=sol.basis, offset_p=sol.offset_p, offset_q=sol.offset_q,
+            coeffs_p=sol.coeffs_p, coeffs_q=sol.coeffs_q, iterations_used=0, converged=True,
+        )
+        for name, bad in (("coeffs_p", np.ones(3)), ("coeffs_q", np.ones((1, 2)))):
+            with pytest.raises(gb.SpecValidationError, match=rf"{name} must have shape \(2,\)"):
+                gb.Solution(**{**fields, name: bad})
+        # lists are taken as float arrays, read-only like the solver's own
+        listed = gb.Solution(**{**fields, "coeffs_p": [0.5, -0.25], "coeffs_q": [1, 2]})
+        assert listed.coeffs_q.dtype == float
+        assert listed.evaluate(0.5, "q") == pytest.approx(sol.offset_q.value(0.5) + 3 * 0.375)
+        with pytest.raises(ValueError):
+            listed.coeffs_p[0] = 1.0
 
 
 class TestSolutionCarriesRuleAndGrid:
