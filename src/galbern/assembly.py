@@ -15,29 +15,30 @@ values plus a combination of interior Bernstein members,
     u~ = theta_u + sum_j c_j B_j,
 
 and the weighted residual against each interior member B_i is set to zero.
-The third-derivative term is integrated by parts twice (the endpoint values
-of B_i kill the first boundary term):
+The offset is one more trial column, whose coefficient is fixed at 1: every
+Galerkin term is a test table times a trial table, and the offset's column,
+known data, moves to the load.  The third-derivative term is integrated by
+parts twice (the endpoint values of B_i kill the first boundary term):
 
     int B_i u''' dx = -[B_i' u']_b + [B_i' u']_a + int B_i'' u' dx.
 
 At an end where u' is prescribed, the bracket is known data and moves to the
 right-hand side; at the other (natural) end, u' is replaced by the trial
-derivative, which adds a rank-one matrix term and an offset contribution.
-The nonlinear term is never linearized into the matrix: it is evaluated on a
-previous iterate and added to the right-hand side (see solver.picard_solve).
+derivative, which adds a rank-one term.  The nonlinear term is never
+linearized into the matrix: it is evaluated on a previous iterate and added
+to the right-hand side (see solver.picard_solve).
 
 A degree n fixes the discretization: the default_order(n)-point Gauss rule,
 exact for every polynomial integrand assembled here, and a uniform grid of
 101 points.  Their basis tables depend on the interval only through the
 factor (b - a)^-k of the k-th derivative, so they are tabulated once per
-degree on [0, 1] and cached read-only; a solve on [0, 1] uses them as they are.
+degree on [0, 1], cached read-only, and scaled per solve (exactly on [0, 1]).
 """
 
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from numpy.polynomial import polynomial as P
 
 from . import expr as ex
 from .basis import MAX_DEGREE, BernsteinBasis
@@ -152,10 +153,17 @@ class AffineOffset:
     coefficients: tuple
 
     def value(self, x, order=0):
-        c = np.asarray(self.coefficients, dtype=float)
-        for _ in range(order):
-            c = P.polyder(c)
-        out = P.polyval(np.asarray(x, dtype=float), c)
+        """order-th derivative at x by Horner's rule on the coefficients k c_k."""
+        c = np.asarray(self.coefficients, dtype=float).tolist()
+        if order >= len(c):
+            c = [c[0] * 0]
+        else:
+            for _ in range(order):
+                c = [k * ck for k, ck in enumerate(c[1:], start=1)]
+        xv = np.asarray(x, dtype=float)
+        out = c[-1] + xv * 0
+        for ck in reversed(c[:-1]):
+            out = ck + out * xv
         return float(out) if np.isscalar(x) else out
 
 
@@ -215,7 +223,7 @@ def _reference_tables(n):
     nodes = gauss_legendre(G, 0.0, 1.0).points
     points = np.concatenate([nodes, (0.0, 1.0), np.linspace(0.0, 1.0, _GRID_POINTS)])
     stacked = BernsteinBasis(n, (0.0, 1.0)).interior_table(points, (0, 1, 2))
-    # contiguous copies: the products below see the layout of separate tables
+    # compact copies: views would keep the whole stacked array alive
     tables = tuple(np.ascontiguousarray(table[:, :G]) for table in stacked)
     ends = (stacked[1][:, G].copy(), stacked[1][:, G + 1].copy())
     grid_table = np.ascontiguousarray(stacked[0][:, G + 2 :])
@@ -228,10 +236,11 @@ class _Workspace:
     """One solve's discretization, shared by every assembly pass over it.
 
     Holds the degree-n basis, the Gauss nodes and weights, the interior
-    members' orders 0-2 at the nodes and first derivatives at both ends
-    (the cached [0, 1] tables scaled by (b - a)^-k), the evaluation grid and
-    the members on it, and both offsets ('p', 'q') and their first two
-    derivatives at the nodes.
+    members' orders 0-2 at the nodes (the test tables) and first derivatives
+    d1 at both ends (the cached [0, 1] tables scaled by (b - a)^-k), the
+    evaluation grid and the members on it, and both offsets ('p', 'q').
+    The trial table trial[u][k], (m+1) x G, appends theta_u^(k) at the nodes
+    to the test table; trial_d1[u] appends theta_u' to d1 at u's natural end.
     """
 
     def __init__(self, spec, degree, offsets=None):
@@ -244,15 +253,16 @@ class _Workspace:
         self.xs, self.w = rule.points, rule.weights
         self.grid = np.linspace(a, b, _GRID_POINTS)
         tables, ends, self.grid_table = _reference_tables(n)
-        if b - a != 1.0:
-            tables = tuple(table * (b - a) ** -k for k, table in enumerate(tables))
-            ends = tuple(d / (b - a) for d in ends)
-        self.tables = tables
-        self.d1 = dict(zip("ab", ends))
-        self.th = {
-            which: tuple(theta.value(self.xs, order) for order in (0, 1, 2))
-            for which, theta in self.theta.items()
-        }
+        # exact on [0, 1], where the tables keep their bytes
+        self.tables = tuple(table * (b - a) ** -k for k, table in enumerate(tables))
+        self.d1 = dict(zip("ab", (d / (b - a) for d in ends)))
+        self.trial, self.trial_d1 = {}, {}
+        for u, theta in self.theta.items():
+            self.trial[u] = tuple(
+                np.vstack([table, theta.value(self.xs, k)]) for k, table in enumerate(self.tables)
+            )
+            e = getattr(spec, f"bc_{u}").natural_end
+            self.trial_d1[u] = np.append(self.d1[e], theta.value(a if e == "a" else b, 1))
         self.m = n - 1
 
 
@@ -271,43 +281,27 @@ def _equation_blocks(ws, coeffs, forcing, bc, u, v):
     u and v are 'p' and 'q' in either order, as in the module docstring.
     An absent (None) coefficient adds nothing.
     """
-    P0, P1, P2 = ws.tables
+    P0, _, P2 = ws.tables
     w = ws.w
     state = ex.PointState(x=ws.xs)
-    # c1..c3 multiply u'', u', u and c4..c6 multiply v'', v', v
-    blocks = {u: [], v: []}
-    loads = {u: [], v: []}
+    # (test table, unknown, trial order): B_i'' u' from u''', c1..c6 on u'', u', u, v'', v', v
+    terms = [(P2 * w, u, 1)]
     for k, coeff in enumerate(coeffs):
-        if coeff is None:
-            continue
-        which, order = (u if k < 3 else v), 2 - k % 3
-        values = ex.evaluate(coeff, state)
-        blocks[which].append((P0 * (w * values)) @ ws.tables[order].T)
-        loads[which].append(values * ws.th[which][order])
-
-    own = (P2 * w) @ P1.T
-    own += sum(blocks[u])
-    cross = sum(blocks[v], np.zeros((ws.m, ws.m)))
-
-    rhs = np.zeros(ws.m) if forcing is None else P0 @ (w * ex.evaluate(forcing, state))
-    for terms in (loads[u], loads[v]):
-        if terms:
-            rhs -= P0 @ (w * sum(terms))
-    rhs -= P2 @ (w * ws.th[u][1])
-
-    # prescribed-derivative bracket: known data on the load side
-    a, b = ws.spec.domain
-    if bc.deriv_end == "b":
-        rhs += ws.d1["b"] * bc.deriv_value
-    else:
-        rhs -= ws.d1["a"] * bc.deriv_value
+        if coeff is not None:
+            terms.append((P0 * (w * ex.evaluate(coeff, state)), u if k < 3 else v, 2 - k % 3))
+    blocks = {u: np.zeros((ws.m, ws.m + 1)), v: np.zeros((ws.m, ws.m + 1))}
+    for test, which, order in terms:
+        blocks[which] += test @ ws.trial[which][order].T
     # natural end: substitute the trial derivative; sign -1 at b, +1 at a
     e = bc.natural_end
-    s = -1.0 if e == "b" else 1.0
-    d = ws.d1[e]
-    own += s * np.outer(d, d)
-    rhs -= s * d * ws.theta[u].value(b if e == "b" else a, 1)
-    return own, cross, rhs
+    blocks[u] += (-1.0 if e == "b" else 1.0) * np.outer(ws.d1[e], ws.trial_d1[u])
+
+    rhs = np.zeros(ws.m) if forcing is None else P0 @ (w * ex.evaluate(forcing, state))
+    # prescribed-derivative bracket: known data on the load side
+    rhs += (ws.d1["b"] if bc.deriv_end == "b" else -ws.d1["a"]) * bc.deriv_value
+    # the offsets' columns, whose coefficients are known to be 1
+    rhs -= blocks[u][:, -1] + blocks[v][:, -1]
+    return blocks[u][:, :-1], blocks[v][:, :-1], rhs
 
 
 def assemble_linear(spec, degree, offsets=None, *, workspace=None):
@@ -339,7 +333,7 @@ def assemble_linear(spec, degree, offsets=None, *, workspace=None):
 
 
 def _trial_values(ws, c, which):
-    return tuple(th + c @ table for th, table in zip(ws.th[which], ws.tables))
+    return tuple(table[-1] + c @ table[:-1] for table in ws.trial[which])
 
 
 def _nonlinear_load(ws, c):

@@ -59,14 +59,6 @@ class BernsteinBasis:
         object.__setattr__(self, "degree", n)
         object.__setattr__(self, "interval", (float(a), float(b)))
 
-    @property
-    def a(self):
-        return self.interval[0]
-
-    @property
-    def b(self):
-        return self.interval[1]
-
     def interior_indices(self):
         """Indices of the members vanishing at both endpoints: [1, ..., n-1]."""
         return list(range(1, self.degree))
@@ -112,6 +104,10 @@ class BernsteinBasis:
         return [raised[k][1:] for k in orders]
 
     def _member(self, i, x, k):
+        try:
+            i = operator.index(i)
+        except TypeError:
+            raise ValueError(f"member index must be an integer, got {i!r}") from None
         xv = self._checked(x)
         out = self._tables(xv, (k,))[0][i] if 0 <= i <= self.degree else np.zeros_like(xv)
         return float(out) if np.isscalar(x) or out.ndim == 0 else out
@@ -137,9 +133,10 @@ class BernsteinBasis:
         member j.  order may also be a tuple of orders, which returns the
         tables stacked on a leading axis, all from one recurrence pass.  Used
         by the assembly routines, which need all members at all quadrature
-        nodes at once.
+        nodes at once.  An order outside 0..n raises ValueError.
         """
-        xv = self._checked(np.atleast_1d(x))
-        if isinstance(order, tuple):
-            return np.stack([table[1:-1] for table in self._tables(xv, order)])
-        return self._tables(xv, (order,))[0][1:-1]
+        orders = order if isinstance(order, tuple) else (order,)
+        if not all(k in range(self.degree + 1) for k in orders):
+            raise ValueError(f"derivative order must be in 0..{self.degree}, got {order!r}")
+        tables = [t[1:-1] for t in self._tables(self._checked(np.atleast_1d(x)), orders)]
+        return np.stack(tables) if isinstance(order, tuple) else tables[0]

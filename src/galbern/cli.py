@@ -356,6 +356,9 @@ def _build_argparser():
     return parser
 
 
+_ARGPARSER = _build_argparser()
+
+
 def _parse_sweep(text):
     m = re.fullmatch(r"(\d+)\.\.(\d+)", text)
     if not m:
@@ -426,8 +429,7 @@ def _run_reduce(args):
 
 def run(argv):
     """Execute a command line; returns the process exit status."""
-    parser = _build_argparser()
-    args = parser.parse_args(argv)
+    args = _ARGPARSER.parse_args(argv)
     try:
         if args.command == "solve":
             return _run_solve(args)

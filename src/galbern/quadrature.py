@@ -6,6 +6,7 @@ integrates polynomials of degree <= 2G - 1 exactly, which is what the
 Galerkin assembly relies on.
 """
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -51,18 +52,22 @@ def gauss_legendre(G, a, b):
 
     Raises:
         QuadratureOrderError: G above the supported cap.
-        ValueError: G < 1 or a >= b.
+        ValueError: G not an integer >= 1 (bool refused), or not finite a < b.
     """
-    if G < 1:
-        raise ValueError(f"quadrature order must be >= 1, got {G}")
-    if G > MAX_ORDER:
-        raise QuadratureOrderError(f"order {G} exceeds the supported cap {MAX_ORDER}")
-    if not b > a:
-        raise ValueError(f"interval must satisfy a < b, got ({a}, {b})")
+    try:
+        order = operator.index(G)
+    except TypeError:
+        order = None
+    if order is None or isinstance(G, bool) or order < 1:
+        raise ValueError(f"quadrature order must be an integer >= 1, got {G!r}")
+    if order > MAX_ORDER:
+        raise QuadratureOrderError(f"order {order} exceeds the supported cap {MAX_ORDER}")
+    if not (np.isfinite(a) and np.isfinite(b) and b > a):
+        raise ValueError(f"interval must satisfy finite a < b, got ({a}, {b})")
 
-    t, w = _reference_rule(G)
+    t, w = _reference_rule(order)
     half = 0.5 * (b - a)
-    return QuadratureRule(points=0.5 * (a + b) + half * t, weights=half * w, order=G)
+    return QuadratureRule(points=0.5 * (a + b) + half * t, weights=half * w, order=order)
 
 
 def integrate(f, rule):

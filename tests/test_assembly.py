@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import sympy as sp
+from numpy.polynomial import polynomial as P
 
 import galbern as gb
 from galbern import (
@@ -19,7 +20,7 @@ from galbern import (
     residual_norm,
 )
 from galbern.assembly import AffineOffset, _reference_tables, _Workspace
-from galbern.cli import preset
+from galbern.cli import PRESETS, preset
 from galbern.solver import Solution
 
 
@@ -132,6 +133,24 @@ class TestBuildOffset:
         scale = 1 + abs(va) + abs(vb)
         assert abs(theta.value(a) - va) <= 1e-13 * scale
         assert abs(theta.value(b) - vb) <= 1e-13 * scale
+
+
+class TestAffineOffsetValue:
+    """Horner's rule on the coefficients k c_k is numpy's polyval of polyder."""
+
+    @pytest.mark.parametrize("degree", range(5))
+    def test_bitwise_equal_to_polyval_of_polyder(self, degree):
+        rng = np.random.default_rng(degree)
+        c = rng.normal(size=degree + 1)
+        theta = AffineOffset(tuple(c))
+        xs = rng.uniform(-2.0, 2.0, 60)
+        for order in range(4):
+            reference = P.polyder(c, order)
+            assert theta.value(xs, order).tobytes() == P.polyval(xs, reference).tobytes()
+            for x in (float(xs[0]), 0.0, -1.5):
+                got = theta.value(x, order)
+                assert isinstance(got, float)
+                assert np.float64(got).tobytes() == np.float64(P.polyval(x, reference)).tobytes()
 
 
 class TestAssembleLinear:
@@ -350,6 +369,19 @@ class TestWorkspace:
         assert ws.grid_table.flags.c_contiguous
         assert ws.grid_table.tobytes() == basis.interior_table(grid).tobytes()
 
+    @pytest.mark.parametrize("domain", [(0.0, 1.0), (-1.3, 1.7)])
+    def test_trial_tables_append_the_offset(self, domain):
+        spec = _bare_spec(domain)
+        ws = _Workspace(spec, 12)
+        for u, theta in ws.theta.items():
+            for order, (test, trial) in enumerate(zip(ws.tables, ws.trial[u])):
+                assert trial.shape == (ws.m + 1, len(ws.xs))
+                assert trial[:-1].tobytes() == test.tobytes()
+                assert trial[-1].tobytes() == theta.value(ws.xs, order).tobytes()
+            e = getattr(spec, f"bc_{u}").natural_end
+            assert ws.trial_d1[u][:-1].tobytes() == ws.d1[e].tobytes()
+            assert ws.trial_d1[u][-1] == theta.value(domain[e == "b"], 1)
+
 
 def _bare_spec(domain, **terms):
     bc = BoundaryData(0.5, -1.0, "a", 2.0)
@@ -458,6 +490,35 @@ class TestOffsetInvariance:
         assert np.max(np.abs(sol_linear.evaluate(xs, "p") - sol_quad.evaluate(xs, "p"))) <= 1e-9
         assert np.max(np.abs(sol_linear.evaluate(xs, "q") - sol_quad.evaluate(xs, "q"))) <= 1e-9
         assert not np.allclose(sol_linear.coeffs_p, sol_quad.coeffs_p)
+
+    @pytest.mark.parametrize("name", PRESETS)
+    @pytest.mark.parametrize("degree", [3, 5, 12, 30])
+    def test_discrete_offset_invariance(self, name, degree):
+        # theta + alpha (t^2 - t), t = (x - a)/(b - a), spans the same trial
+        # set: t^2 - t = sum_i d_i B_i, so c_lin = c_quad + alpha d and
+        # rhs_lin - rhs_quad = K [alpha d; beta d]
+        spec = preset(name)
+        a, b = spec.domain
+        h = b - a
+        alpha, beta = 0.7, -1.3
+
+        def bumped(theta, s):
+            c0, c1 = theta.coefficients
+            return AffineOffset(
+                (c0 + s * (a / h + (a / h) ** 2), c1 - s * (1 / h + 2 * a / h**2), s / h**2)
+            )
+
+        linear = (build_offset(spec.bc_p, spec.domain), build_offset(spec.bc_q, spec.domain))
+        quadratic = (bumped(linear[0], alpha), bumped(linear[1], beta))
+        lin = assemble_linear(spec, degree, linear)
+        quad = assemble_linear(spec, degree, quadratic)
+        assert np.array_equal(lin.matrix, quad.matrix)
+        i = np.arange(1, degree)
+        d = i * (i - 1) / (degree * (degree - 1)) - i / degree
+        K = lin.matrix
+        shift = K @ np.concatenate([alpha * d, beta * d])
+        bound = 1e-13 * np.max(np.abs(K)) * np.max(np.abs(d)) * max(abs(alpha), abs(beta))
+        assert np.max(np.abs(lin.rhs - quad.rhs - shift)) <= bound
 
 
 class TestSpecValidation:

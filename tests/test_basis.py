@@ -28,6 +28,12 @@ class TestEval:
         assert UNIT.eval(-1, 0.5) == 0.0
         assert UNIT.eval(4, 0.5) == 0.0
 
+    def test_non_integer_index_rejected(self):
+        with pytest.raises(ValueError, match="member index"):
+            UNIT.eval(1.5, 0.5)
+        with pytest.raises(ValueError, match="member index"):
+            UNIT.eval_deriv("1", 0.5, 1)
+
     def test_array_argument(self):
         xs = np.linspace(0, 1, 7)
         vals = UNIT.eval(1, xs)
@@ -83,6 +89,9 @@ class TestDerivatives:
         for order in (0, 4, -1):
             with pytest.raises(ValueError):
                 UNIT.eval_deriv(1, 0.5, order)
+        for order in (4, -1, 2.5, (0, 4)):
+            with pytest.raises(ValueError, match="derivative order"):
+                UNIT.interior_table([0.5], order)
 
     @pytest.mark.parametrize(
         "n,i,order",

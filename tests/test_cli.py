@@ -517,6 +517,14 @@ class TestRunSolve:
         assert "within 3..30" in text
         assert text.count("positive and finite") == 2
 
+    def test_parser_built_once(self, monkeypatch, capsys):
+        def rebuilt():
+            raise AssertionError("run rebuilt the argument parser")
+
+        monkeypatch.setattr(gb.cli, "_build_argparser", rebuilt)
+        assert run(["solve", "--preset", "example1", "--degree", "3"]) == 0
+        assert capsys.readouterr().out
+
     def test_readme_synopsis_lists_the_solve_options(self, capsys):
         readme = (PROBLEMS_DIR.parent / "README.md").read_text()
         synopsis = re.search(r"^galbern solve .*?(?=^galbern reduce )", readme, re.M | re.S)

@@ -42,14 +42,18 @@ class TestRuleConstruction:
             rule.points[0] = 0.0
 
     def test_order_bounds(self):
-        with pytest.raises(ValueError):
-            gauss_legendre(0, 0.0, 1.0)
+        for G in (0, True, 2.5, "3"):
+            with pytest.raises(ValueError):
+                gauss_legendre(G, 0.0, 1.0)
         with pytest.raises(QuadratureOrderError):
             gauss_legendre(65, 0.0, 1.0)
+        rule = gauss_legendre(np.int64(3), 0.0, 1.0)
+        assert type(rule.order) is int and rule.order == 3
 
     def test_bad_interval(self):
-        with pytest.raises(ValueError):
-            gauss_legendre(3, 1.0, 0.0)
+        for a, b in ((1.0, 0.0), (0.0, math.inf), (-math.inf, 0.0), (math.nan, 1.0)):
+            with pytest.raises(ValueError):
+                gauss_legendre(3, a, b)
 
 
 class TestIntegrate:
