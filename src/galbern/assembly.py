@@ -37,6 +37,7 @@ degree on [0, 1], cached read-only, and scaled per solve (exactly on [0, 1]).
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from numbers import Real
 
 import numpy as np
 
@@ -71,10 +72,10 @@ class BoundaryData:
                 f"deriv_end must be 'a' or 'b', got {self.deriv_end!r}"
             )
         for name in ("value_a", "value_b", "deriv_value"):
-            if not np.isfinite(getattr(self, name)):
-                raise SpecValidationError(
-                    f"{name} must be finite, got {getattr(self, name)!r}"
-                )
+            value = getattr(self, name)
+            if not (isinstance(value, Real) and np.isfinite(value)):
+                raise SpecValidationError(f"{name} must be a finite real number, got {value!r}")
+            object.__setattr__(self, name, float(value))
 
     @property
     def natural_end(self):
@@ -145,16 +146,23 @@ class ProblemSpec:
 class AffineOffset:
     """Polynomial carrying the prescribed endpoint values of one unknown.
 
-    Stored as monomial coefficients in ascending order.  Any polynomial with
-    the right endpoint values works: changing the offset reparametrizes the
-    same trial set, so the converged trial function is unchanged.
+    Stored as monomial coefficients in ascending order, a non-empty sequence
+    of reals kept as floats.  Any polynomial with the right endpoint values
+    works: changing the offset reparametrizes the same trial set, so the
+    converged trial function is unchanged.
     """
 
     coefficients: tuple
 
+    def __post_init__(self):
+        c = tuple(self.coefficients) if np.iterable(self.coefficients) else ()
+        if not c or not all(isinstance(ck, Real) for ck in c):
+            raise SpecValidationError(f"offset needs real coefficients, got {self.coefficients!r}")
+        object.__setattr__(self, "coefficients", tuple(map(float, c)))
+
     def value(self, x, order=0):
         """order-th derivative at x by Horner's rule on the coefficients k c_k."""
-        c = np.asarray(self.coefficients, dtype=float).tolist()
+        c = list(self.coefficients)
         if order >= len(c):
             c = [c[0] * 0]
         else:
@@ -202,13 +210,14 @@ class AssembledSystem:
 
     Row i of a block is the test index, column j the trial index; the first
     half of the unknown vector holds the p coefficients, the second half q.
-    The lagged nonlinear vector is produced separately and added to rhs on
-    each iteration.
+    The lagged nonlinear vector is produced separately, on the tables of the
+    discretization the system links to, and added to rhs on each iteration.
     """
 
     matrix: np.ndarray
     rhs: np.ndarray
     size: int  # m = degree - 1, per function
+    _workspace: "_Workspace | None" = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.matrix.setflags(write=False)
@@ -240,7 +249,8 @@ class _Workspace:
     d1 at both ends (the cached [0, 1] tables scaled by (b - a)^-k), the
     evaluation grid and the members on it, and both offsets ('p', 'q').
     The trial table trial[u][k], (m+1) x G, appends theta_u^(k) at the nodes
-    to the test table; trial_d1[u] appends theta_u' to d1 at u's natural end.
+    to the test table, a view of trial['p'][k] without that row; trial_d1[u]
+    appends theta_u' to d1 at u's natural end.
     """
 
     def __init__(self, spec, degree, offsets=None):
@@ -254,25 +264,28 @@ class _Workspace:
         self.grid = np.linspace(a, b, _GRID_POINTS)
         tables, ends, self.grid_table = _reference_tables(n)
         # exact on [0, 1], where the tables keep their bytes
-        self.tables = tuple(table * (b - a) ** -k for k, table in enumerate(tables))
+        scaled = [table * (b - a) ** -k for k, table in enumerate(tables)]
         self.d1 = dict(zip("ab", (d / (b - a) for d in ends)))
         self.trial, self.trial_d1 = {}, {}
         for u, theta in self.theta.items():
             self.trial[u] = tuple(
-                np.vstack([table, theta.value(self.xs, k)]) for k, table in enumerate(self.tables)
+                np.vstack([table, theta.value(self.xs, k)]) for k, table in enumerate(scaled)
             )
             e = getattr(spec, f"bc_{u}").natural_end
             self.trial_d1[u] = np.append(self.d1[e], theta.value(a if e == "a" else b, 1))
+        self.tables = tuple(table[:-1] for table in self.trial["p"])
         self.m = n - 1
 
 
-def _solution_workspace(spec, sol):
-    """The workspace of sol's degree and offsets on spec's domain."""
+def _system_of(spec, sol):
+    """sol's own system if solved on this very spec, else one at its degree and offsets."""
+    if sol._system is not None and sol._system._workspace.spec is spec:
+        return sol._system
     if sol.basis.interval != spec.domain:
         raise SpecValidationError(
             f"solution interval {sol.basis.interval} differs from the problem domain {spec.domain}"
         )
-    return _Workspace(spec, sol.basis.degree, (sol.offset_p, sol.offset_q))
+    return assemble_linear(spec, sol.basis.degree, (sol.offset_p, sol.offset_q))
 
 
 def _equation_blocks(ws, coeffs, forcing, bc, u, v):
@@ -304,19 +317,19 @@ def _equation_blocks(ws, coeffs, forcing, bc, u, v):
     return blocks[u][:, :-1], blocks[v][:, :-1], rhs
 
 
-def assemble_linear(spec, degree, offsets=None, *, workspace=None):
+def assemble_linear(spec, degree, offsets=None):
     """Build the linear part of the discrete system at the given degree.
 
     Returns an AssembledSystem whose matrix and rhs are independent of any
     iterate; for a purely linear problem this is the whole discretization.
+    The system keeps the discretization it was built on, so the nonlinear
+    load and the residual check of a solve reuse its tables.
 
     Args:
         offsets: optional (theta_p, theta_q) overriding the default linear
             interpolants; each must interpolate its endpoint values.
-        workspace: the solve's discretization, when the caller has already
-            built it from these same arguments.
     """
-    ws = workspace or _Workspace(spec, degree, offsets)
+    ws = _Workspace(spec, degree, offsets)
     # coefficient blowups surface via the finiteness check below, not warnings
     with np.errstate(over="ignore", invalid="ignore"):
         A, H, F = _equation_blocks(ws, spec.p_coeffs, spec.f, spec.bc_p, "p", "q")
@@ -329,7 +342,9 @@ def assemble_linear(spec, degree, offsets=None, *, workspace=None):
     if not np.all(np.isfinite(rhs)):
         (i,) = np.argwhere(~np.isfinite(rhs))[0]
         raise AssemblyError(f"non-finite load entry at row {i}")
-    return AssembledSystem(matrix=K, rhs=rhs, size=ws.m)
+    system = AssembledSystem(matrix=K, rhs=rhs, size=ws.m)
+    object.__setattr__(system, "_workspace", ws)
+    return system
 
 
 def _trial_values(ws, c, which):
@@ -357,36 +372,32 @@ def _nonlinear_load(ws, c):
     return out
 
 
-def _coefficient_vector(sol):
-    return np.concatenate([np.asarray(sol.coeffs_p, float), np.asarray(sol.coeffs_q, float)])
-
-
-def assemble_nonlinear_rhs(spec, current, *, workspace=None):
+def assemble_nonlinear_rhs(spec, current):
     """Load-vector contribution of the nonlinear terms at a given solution.
 
     Entry i of the block for an equation with nonlinear term M is
     -int M(x, p~, p~', p~'', q~, q~', q~'') B_i dx, with p~, q~ the full
     trial functions of `current` (offsets included), at current's degree.
-    Zero blocks when the corresponding term is absent.  workspace, when
-    given, is the discretization of current on spec's domain; without it,
-    a current on another interval raises SpecValidationError.
+    Zero blocks when the corresponding term is absent.  The discretization
+    is chosen as in residual_norm, and a current on another interval raises
+    SpecValidationError.
     """
-    ws = workspace or _solution_workspace(spec, current)
-    return _nonlinear_load(ws, _coefficient_vector(current))
+    c = np.concatenate([current.coeffs_p, current.coeffs_q])
+    return _nonlinear_load(_system_of(spec, current)._workspace, c)
 
 
 def residual_norm(spec, sol):
     """Sup-norm of the discrete weighted residual at a solution.
 
-    Assembles the same system as assemble_linear at sol's degree (with the
-    solution's own offsets) and evaluates the nonlinear load at the solution
-    itself, over one shared discretization, so a fixed point of the lagged
-    iteration scores at the linear-solver residual scale.
+    On the system picard_solve solved sol on, if it did so for this spec
+    object, else on a fresh assemble_linear at sol's degree and offsets; the
+    nonlinear load is evaluated at sol over the same tables, so a fixed point
+    of the lagged iteration scores at the linear-solver residual scale.
 
     Raises:
         SpecValidationError: sol lives on another interval than spec.
     """
-    ws = _solution_workspace(spec, sol)
-    system = assemble_linear(spec, ws.basis.degree, workspace=ws)
-    nl = assemble_nonlinear_rhs(spec, sol, workspace=ws)
-    return float(np.max(np.abs(system.matrix @ _coefficient_vector(sol) - system.rhs - nl)))
+    system = _system_of(spec, sol)
+    c = np.concatenate([sol.coeffs_p, sol.coeffs_q])
+    nl = _nonlinear_load(system._workspace, c)
+    return float(np.max(np.abs(system.matrix @ c - system.rhs - nl)))

@@ -79,18 +79,13 @@ def _check_keys(cp, section, allowed):
             raise ProblemFileError(f"[{section}] {key}: unknown key")
 
 
-def _check_sections(cp, required, optional=()):
+def _check_sections(cp, required):
     present = set(cp.sections())
     for sec in required:
         if sec not in present:
             raise ProblemFileError(f"[{sec}]: missing required section")
-    for sec in present - set(required) - set(optional):
+    for sec in present - set(required) - {"exact"}:
         raise ProblemFileError(f"[{sec}]: unknown section")
-
-
-def _load_domain(cp):
-    _check_keys(cp, "domain", ("a", "b"))
-    return (_float_field(cp, "domain", "a"), _float_field(cp, "domain", "b"))
 
 
 def _load_bc(cp, section):
@@ -108,52 +103,45 @@ def _load_bc(cp, section):
     return BoundaryData(value_a, value_b, "b", deriv_b)
 
 
-def _load_exact(cp):
-    if not cp.has_section("exact"):
-        return None, None
-    _check_keys(cp, "exact", ("p", "q"))
-    return _expr_field(cp, "exact", "p"), _expr_field(cp, "exact", "q")
+def _shared_fields(cp):
+    """Domain, boundary data and exact solutions, as both kinds of problem file hold them."""
+    if cp.has_section("exact"):
+        _check_keys(cp, "exact", ("p", "q"))
+    exact_p, exact_q = _expr_field(cp, "exact", "p"), _expr_field(cp, "exact", "q")
+    _check_keys(cp, "domain", ("a", "b"))
+    return dict(
+        domain=(_float_field(cp, "domain", "a"), _float_field(cp, "domain", "b")),
+        bc_p=_load_bc(cp, "bc.p"), bc_q=_load_bc(cp, "bc.q"), exact_p=exact_p, exact_q=exact_q,
+    )
 
 
 def load_problem(path):
     """Read and validate a coupled-system problem file into a ProblemSpec."""
     cp = _get_parser(path)
-    _check_sections(
-        cp, ("domain", "equation.p", "equation.q", "bc.p", "bc.q"), ("exact",)
-    )
+    _check_sections(cp, ("domain", "equation.p", "equation.q", "bc.p", "bc.q"))
     _check_keys(cp, "equation.p", tuple(f"a{k}" for k in range(1, 7)) + ("f", "nonlinear"))
     _check_keys(cp, "equation.q", tuple(f"b{k}" for k in range(1, 7)) + ("g", "nonlinear"))
-    exact_p, exact_q = _load_exact(cp)
     return ProblemSpec(
-        domain=_load_domain(cp),
+        **_shared_fields(cp),
         p_coeffs=tuple(_expr_field(cp, "equation.p", f"a{k}") for k in range(1, 7)),
         q_coeffs=tuple(_expr_field(cp, "equation.q", f"b{k}") for k in range(1, 7)),
         f=_expr_field(cp, "equation.p", "f"),
         g=_expr_field(cp, "equation.q", "g"),
         m1=_expr_field(cp, "equation.p", "nonlinear"),
         m2=_expr_field(cp, "equation.q", "nonlinear"),
-        bc_p=_load_bc(cp, "bc.p"),
-        bc_q=_load_bc(cp, "bc.q"),
-        exact_p=exact_p,
-        exact_q=exact_q,
     )
 
 
 def load_sixth_order(path):
     """Read and validate a sixth-order problem file into a SixthOrderSpec."""
     cp = _get_parser(path)
-    _check_sections(cp, ("domain", "equation", "bc.p", "bc.q"), ("exact",))
+    _check_sections(cp, ("domain", "equation", "bc.p", "bc.q"))
     _check_keys(cp, "equation", tuple(f"c{k}" for k in range(6)) + ("r", "nonlinear"))
-    exact_p, exact_q = _load_exact(cp)
     return SixthOrderSpec(
-        domain=_load_domain(cp),
+        **_shared_fields(cp),
         coeffs=tuple(_expr_field(cp, "equation", f"c{k}") for k in range(6)),
         forcing=_expr_field(cp, "equation", "r"),
         nonlinear=_expr_field(cp, "equation", "nonlinear"),
-        bc_p=_load_bc(cp, "bc.p"),
-        bc_q=_load_bc(cp, "bc.q"),
-        exact_p=exact_p,
-        exact_q=exact_q,
     )
 
 
@@ -183,13 +171,9 @@ def dump_problem(spec):
     lines.extend(_bc_lines("bc.p", spec.bc_p))
     lines.append("")
     lines.extend(_bc_lines("bc.q", spec.bc_q))
-    if spec.exact_p is not None or spec.exact_q is not None:
-        lines.append("")
-        lines.append("[exact]")
-        if spec.exact_p is not None:
-            lines.append(f"p = {ex.to_source(spec.exact_p)}")
-        if spec.exact_q is not None:
-            lines.append(f"q = {ex.to_source(spec.exact_q)}")
+    exact = [(u, e) for u, e in (("p", spec.exact_p), ("q", spec.exact_q)) if e is not None]
+    if exact:
+        lines += ["", "[exact]"] + [f"{u} = {ex.to_source(e)}" for u, e in exact]
     return "\n".join(lines) + "\n"
 
 

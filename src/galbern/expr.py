@@ -13,7 +13,9 @@ in order of increasing precedence:
 Functions: exp, sin, cos, ln, sqrt.  Whitespace is insignificant.  Numeric
 literals must be finite.  Exponents must be numeric literals, so -x^2 means
 -(x^2) and polynomial sources stay polynomials; small integer exponents are
-evaluated by repeated multiplication for exactness.
+evaluated by repeated multiplication for exactness.  Nesting is bounded:
+each operator, call, unary minus and pair of parentheses is one level, and
+a source more than MAX_DEPTH levels deep is a syntax error.
 
 Evaluation is vectorized: the variables of a PointState may be floats or
 equal-length arrays, and one walk of the tree does one numpy operation per
@@ -38,6 +40,10 @@ FUNCTIONS = ("exp", "sin", "cos", "ln", "sqrt")
 
 # exponents up to this size are expanded as repeated multiplication
 _POW_UNROLL = 16
+
+# the parser and the recursive walks below stay within Python's default
+# recursion limit on every tree this deep
+MAX_DEPTH = 100
 
 
 @dataclass(frozen=True)
@@ -96,35 +102,25 @@ class PointState:
 _TOKEN = re.compile(
     r"\s*(?:(?P<num>\d+(?:\.\d*)?(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)"
     r"|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<op>[-+*/^()]))"
+    r"|(?P<op>[-+*/^()])"
+    r"|(?P<bad>\S))"
 )
 
 
 def _tokenize(source):
     tokens = []
-    pos = 0
-    while pos < len(source):
-        m = _TOKEN.match(source, pos)
-        if m is None:
-            stripped = source[pos:].lstrip()
-            if not stripped:
-                break
-            at = len(source) - len(stripped)
-            raise ExprSyntaxError(f"unexpected character {source[at]!r}", at)
-        if m.lastgroup == "num":
-            tokens.append(("num", m.group("num"), m.start("num")))
-        elif m.lastgroup == "ident":
-            tokens.append(("ident", m.group("ident"), m.start("ident")))
-        else:
-            tokens.append(("op", m.group("op"), m.start("op")))
-        pos = m.end()
-    tokens.append(("end", "", len(source)))
-    return tokens
+    for m in _TOKEN.finditer(source):  # only trailing whitespace goes unmatched
+        kind = m.lastgroup
+        if kind == "bad":
+            raise ExprSyntaxError(f"unexpected character {m.group(kind)!r}", m.start(kind))
+        tokens.append((kind, m.group(kind), m.start(kind)))
+    return tokens + [("end", "", len(source))]
 
 
 class _Parser:
+    """Recursive descent: each rule takes its level and returns (node, height)."""
+
     def __init__(self, source):
-        self.source = source
         self.tokens = _tokenize(source)
         self.idx = 0
 
@@ -132,52 +128,59 @@ class _Parser:
         return self.tokens[self.idx]
 
     def advance(self):
-        tok = self.tokens[self.idx]
         self.idx += 1
-        return tok
+        return self.tokens[self.idx - 1]
 
     def expect_op(self, symbol):
-        kind, text, pos = self.peek()
-        if kind != "op" or text != symbol:
-            raise ExprSyntaxError(f"expected {symbol!r}", pos)
+        if not self.at_op(symbol):
+            raise ExprSyntaxError(f"expected {symbol!r}", self.peek()[2])
         return self.advance()
 
     def at_op(self, *symbols):
         kind, text, _ = self.peek()
         return kind == "op" and text in symbols
 
+    def nested(self, height, level, pos):
+        """height, refused at pos when the nesting it closes exceeds MAX_DEPTH."""
+        if level + height > MAX_DEPTH:
+            raise ExprSyntaxError(f"expression nested deeper than {MAX_DEPTH} levels", pos)
+        return height
+
     def parse(self):
-        node = self.expr()
+        node, _ = self.expr(0)
         kind, text, pos = self.peek()
         if kind != "end":
             raise ExprSyntaxError(f"unexpected trailing input {text!r}", pos)
         return node
 
-    def expr(self):
-        node = self.term()
-        while self.at_op("+", "-"):
-            _, op, _ = self.advance()
-            node = BinOp(op, node, self.term())
-        return node
+    def expr(self, level):
+        return self.chain(level, ("+", "-"), self.term)
 
-    def term(self):
-        node = self.factor()
-        while self.at_op("*", "/"):
-            _, op, _ = self.advance()
-            node = BinOp(op, node, self.factor())
-        return node
+    def term(self, level):
+        return self.chain(level, ("*", "/"), self.factor)
 
-    def factor(self):
+    def chain(self, level, ops, operand):
+        """operand (op operand)* for op in ops, grouped from the left."""
+        node, height = operand(level)
+        while self.at_op(*ops):
+            _, op, pos = self.advance()
+            right, h = operand(level)
+            node, height = BinOp(op, node, right), self.nested(1 + max(height, h), level, pos)
+        return node, height
+
+    def factor(self, level):
+        self.nested(1, level, self.peek()[2])  # even a leaf here may be too deep
         if self.at_op("-"):
             self.advance()
-            return Neg(self.factor())
-        return self.power()
+            operand, height = self.factor(level + 1)
+            return Neg(operand), height + 1
+        return self.power(level)
 
-    def power(self):
-        base = self.primary()
+    def power(self, level):
+        base, height = self.primary(level)
         if not self.at_op("^"):
-            return base
-        self.advance()
+            return base, height
+        _, _, caret = self.advance()
         sign = 1.0
         if self.at_op("-"):
             self.advance()
@@ -185,7 +188,7 @@ class _Parser:
         kind, _, pos = self.peek()
         if kind != "num":
             raise ExprSyntaxError("exponent must be a numeric literal", pos)
-        return Pow(base, sign * self.number())
+        return Pow(base, sign * self.number()), self.nested(height + 1, level, caret)
 
     def number(self):
         _, text, pos = self.advance()
@@ -194,24 +197,24 @@ class _Parser:
             raise ExprSyntaxError(f"numeric literal {text} is not finite", pos)
         return value
 
-    def primary(self):
+    def primary(self, level):
         kind, text, pos = self.peek()
         if kind == "num":
-            return Num(self.number())
+            return Num(self.number()), 1
         self.advance()
         if kind == "ident":
             if text in VARIABLES:
-                return Var(text)
+                return Var(text), 1
             if text in FUNCTIONS:
                 self.expect_op("(")
-                arg = self.expr()
+                arg, height = self.expr(level + 1)
                 self.expect_op(")")
-                return Call(text, arg)
+                return Call(text, arg), height + 1
             raise ExprSyntaxError(f"unknown identifier {text!r}", pos)
         if kind == "op" and text == "(":
-            node = self.expr()
+            node, height = self.expr(level + 1)
             self.expect_op(")")
-            return node
+            return node, height + 1
         shown = text if text else "end of input"
         raise ExprSyntaxError(f"unexpected {shown!r}", pos)
 
@@ -349,15 +352,11 @@ def _emit(e, ctx):
     elif isinstance(e, Neg):
         text, level = f"-{_emit(e.operand, _UNARY)}", _UNARY
     elif isinstance(e, Pow):
-        exp = _fmt_number(e.exponent)
-        text, level = f"{_emit(e.base, _ATOM)}^{exp}", _POW
-    elif isinstance(e, BinOp) and e.op in "+-":
-        # right operand needs a bump so a - (b - c) keeps its grouping
-        text = f"{_emit(e.left, _ADD)} {e.op} {_emit(e.right, _ADD + 1)}"
-        level = _ADD
+        text, level = f"{_emit(e.base, _ATOM)}^{_fmt_number(e.exponent)}", _POW
     elif isinstance(e, BinOp):
-        text = f"{_emit(e.left, _MUL)} {e.op} {_emit(e.right, _MUL + 1)}"
-        level = _MUL
+        # right operand needs a bump so a - (b - c) keeps its grouping
+        level = _ADD if e.op in "+-" else _MUL
+        text = f"{_emit(e.left, level)} {e.op} {_emit(e.right, level + 1)}"
     else:
         raise TypeError(f"not an expression node: {e!r}")
     return f"({text})" if level < ctx else text

@@ -22,12 +22,12 @@ iterates are compared in the sup norm on a uniform evaluation grid, and the
 same measure compares solutions of consecutive degrees in a refinement sweep.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from numbers import Integral
 
 import numpy as np
 
-from .assembly import _nonlinear_load, _Workspace, assemble_linear
+from .assembly import _nonlinear_load, assemble_linear
 from .basis import MAX_DEGREE, BernsteinBasis
 from .errors import DivergenceError, NonConvergenceError, SingularSystemError, SpecValidationError
 
@@ -83,7 +83,8 @@ class Solution:
     """Offsets plus interior coefficients for the pair of unknowns.
 
     picard_solve also fills grid_values, p and q as evaluate gives them on
-    linspace(a, b, 101).
+    linspace(a, b, 101), and keeps the system it solved on for residual_norm
+    (no constructor argument: hand-built or replaced solutions have none).
     """
 
     basis: BernsteinBasis
@@ -94,6 +95,7 @@ class Solution:
     iterations_used: int
     converged: bool
     grid_values: "np.ndarray | None" = None
+    _system: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         m = self.basis.degree - 1
@@ -110,9 +112,11 @@ class Solution:
         """Trial function value theta^(order) + sum c_j B_j^(order) at x.
 
         which selects 'p' or 'q', or 'pq' for both as the rows of one array
-        from one basis table; order is 0, 1 or 2.  x may be a scalar or array
-        inside the domain.
+        from one basis table; order is 0, 1 or 2.  x is a scalar or a 1-d
+        array inside the domain.
         """
+        if np.ndim(x) > 1:
+            raise ValueError(f"x must be a scalar or a 1-d array, got shape {np.shape(x)}")
         if which not in ("p", "q", "pq"):
             raise ValueError(f"which must be 'p', 'q' or 'pq', got {which!r}")
         if order not in (0, 1, 2):
@@ -218,8 +222,8 @@ def picard_solve(spec, degree, config=None, offsets=None):
             finite.
     """
     config = config or SolverConfig()
-    ws = _Workspace(spec, degree, offsets)
-    system = assemble_linear(spec, ws.basis.degree, workspace=ws)
+    system = assemble_linear(spec, degree, offsets)
+    ws = system._workspace
     m = system.size
     K, rhs = system.matrix, system.rhs
     factors = _qr_factor(K)
@@ -257,11 +261,13 @@ def picard_solve(spec, degree, config=None, offsets=None):
     grid_values = np.array(
         [ws.theta[u].value(ws.grid) + cu @ ws.grid_table for u, cu in coeffs.items()]
     )
-    return Solution(
+    sol = Solution(
         basis=ws.basis, offset_p=ws.theta["p"], offset_q=ws.theta["q"],
         coeffs_p=coeffs["p"], coeffs_q=coeffs["q"], iterations_used=k, converged=converged,
         grid_values=grid_values,
     )
+    object.__setattr__(sol, "_system", system)
+    return sol
 
 
 def refine_solve(spec, config=None):

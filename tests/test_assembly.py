@@ -552,6 +552,16 @@ class TestSpecValidation:
         with pytest.raises(SpecValidationError, match=name):
             BoundaryData(*args)
 
+    def test_boundary_numbers_stored_as_floats(self):
+        bc = BoundaryData(np.float64(0.5), np.int64(2), "b", np.float32(0.25))
+        assert (bc.value_a, bc.value_b, bc.deriv_value) == (0.5, 2.0, 0.25)
+        assert all(type(v) is float for v in (bc.value_a, bc.value_b, bc.deriv_value))
+
+    @pytest.mark.parametrize("value", ["1.0", None, 1 + 0j])
+    def test_non_real_boundary_data(self, value):
+        with pytest.raises(SpecValidationError, match="value_a must be a finite real number"):
+            BoundaryData(value, 0.0, "a", 0.0)
+
     def test_basis_domain_mismatch(self):
         # a solution on another interval cannot be scored against the problem
         spec = preset("example1")
@@ -562,3 +572,99 @@ class TestSpecValidation:
             residual_norm(spec, sol)
         with pytest.raises(SpecValidationError, match=message):
             assemble_nonlinear_rhs(spec, sol)
+
+
+class TestAffineOffsetCoefficients:
+    @pytest.mark.parametrize("coefficients", [
+        1.0, (), [], ("1", "2"), "12", (1.0, "2"), (1 + 2j,), ((1.0, 2.0),), None, np.float64(3.0),
+    ])
+    def test_non_real_or_empty_refused(self, coefficients):
+        with pytest.raises(SpecValidationError, match="offset needs real coefficients"):
+            AffineOffset(coefficients)
+
+    @pytest.mark.parametrize("coefficients", [
+        [1, 2], np.array([1.0, 2.0]), (np.float64(1.0), np.int64(2)), (c for c in (1.0, 2.0)),
+    ])
+    def test_reals_stored_as_a_tuple_of_floats(self, coefficients):
+        theta = AffineOffset(coefficients)
+        assert theta.coefficients == (1.0, 2.0)
+        assert all(type(c) is float for c in theta.coefficients)
+
+
+class TestSolutionSystem:
+    """A solve's solution carries the system it was solved on, and the
+    residual check scores it there instead of assembling again."""
+
+    @pytest.mark.parametrize("name", PRESETS)
+    @pytest.mark.parametrize("degree", [3, 12, 30])
+    def test_linked_residual_equals_a_fresh_assembly(self, name, degree):
+        spec = preset(name)
+        sol = picard_solve(spec, degree)
+        unlinked = replace(sol)
+        assert sol._system is not None and unlinked._system is None
+        assert unlinked == sol
+        assert residual_norm(spec, sol) == residual_norm(spec, unlinked)
+        linked_load = assemble_nonlinear_rhs(spec, sol)
+        assert linked_load.tobytes() == assemble_nonlinear_rhs(spec, unlinked).tobytes()
+
+    @staticmethod
+    def _count_workspaces(monkeypatch):
+        built = []
+        original = _Workspace.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(args)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(_Workspace, "__init__", counting)
+        return built
+
+    def test_only_the_solved_spec_object_reuses_the_system(self, monkeypatch):
+        spec = preset("example2")
+        sol = picard_solve(spec, 9)
+        built = self._count_workspaces(monkeypatch)
+        expected = residual_norm(spec, sol)
+        assert built == []
+        # an equal spec loaded again is another object: a fresh assembly
+        again = preset("example2")
+        assert again == spec and again is not spec
+        assert residual_norm(again, sol) == expected
+        assert len(built) == 1
+        # replaced offsets drop the link, and the new offsets are what is scored
+        quadratic = AffineOffset((0.0, 0.0, 1.0))
+        moved = replace(sol, offset_p=quadratic)
+        assert moved._system is None
+        score = residual_norm(spec, moved)
+        assert len(built) == 2 and built[-1][2] == (quadratic, sol.offset_q)
+        assert score != expected
+
+    def test_hand_built_solution_builds_one_workspace_per_call(self, monkeypatch):
+        spec = preset("example1")
+        basis = BernsteinBasis(4, spec.domain)
+        sol = _manual_solution(basis, [0.1, 0.2, 0.3], [0.0, -0.1, 0.2], spec.bc_p, spec.bc_q)
+        built = self._count_workspaces(monkeypatch)
+        residual_norm(spec, sol)
+        assert len(built) == 1
+        assemble_nonlinear_rhs(spec, sol)
+        assert len(built) == 2
+
+    def test_link_is_no_constructor_argument_and_stays_out_of_repr_and_eq(self):
+        spec = preset("example1")
+        system = assemble_linear(spec, 5)
+        assert system._workspace.spec is spec
+        with pytest.raises(TypeError):
+            gb.AssembledSystem(system.matrix, system.rhs, system.size, _workspace=None)
+        twin = gb.AssembledSystem(system.matrix, system.rhs, system.size)
+        assert twin == system and repr(twin) == repr(system)
+        sol = picard_solve(spec, 5)
+        with pytest.raises(TypeError):
+            Solution(sol.basis, sol.offset_p, sol.offset_q, sol.coeffs_p, sol.coeffs_q,
+                     sol.iterations_used, sol.converged, sol.grid_values, sol._system)
+        assert "_system" not in repr(sol) and "_workspace" not in repr(system)
+
+    @pytest.mark.parametrize("domain", [(0.0, 1.0), (-1.3, 1.7)])
+    def test_test_tables_are_views_of_the_p_trial_tables(self, domain):
+        ws = _Workspace(_bare_spec(domain), 12)
+        for table, trial in zip(ws.tables, ws.trial["p"]):
+            assert table.base is trial
+            assert table.shape == (ws.m, len(ws.xs))

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,7 @@ import sympy as sp
 
 import galbern as gb
 from galbern import ProblemFileError, dump_problem, load_problem, load_sixth_order, preset
-from galbern.assembly import _GRID_POINTS, _reference_tables
+from galbern.assembly import _GRID_POINTS, BoundaryData, _reference_tables, _Workspace
 from galbern.cli import PRESETS, error_table, format_samples, run, sample_points
 
 PROBLEMS_DIR = Path(__file__).resolve().parent.parent / "problems"
@@ -189,6 +190,15 @@ class TestDumpProblem:
         assert again.m1 == spec.m1 and again.m2 == spec.m2
         assert again.bc_p == spec.bc_p and again.bc_q == spec.bc_q
         assert again.exact_p == spec.exact_p
+
+    def test_numpy_boundary_data_round_trip(self, tmp_path):
+        spec = preset("example1")
+        bc = BoundaryData(np.float64(0.0), np.float64(0.0), "a", np.float64(0.0))
+        numpy_spec = replace(spec, bc_p=bc, bc_q=bc)
+        text = dump_problem(numpy_spec)
+        assert "np.float64" not in text
+        again = load_problem(write_problem(tmp_path, text, "numpy.prob"))
+        assert again.bc_p == spec.bc_p and again.bc_q == spec.bc_q
 
     def test_bc_floats_survive_exactly(self, tmp_path):
         spec = preset("example3")
@@ -483,6 +493,42 @@ class TestRunSolve:
         assert status == 1
         assert capsys.readouterr().err == "error: --sweep expects MAX <= 30, got '3..40'\n"
         assert solved == []
+
+    @pytest.mark.parametrize("a6", [
+        "(" * 200 + "x" + ")" * 200,
+        "+".join(["x"] * 1200),
+    ], ids=["200 parentheses", "1200-term sum"])
+    def test_too_deep_expression_exits_with_its_field(self, tmp_path, capsys, a6):
+        path = write_problem(tmp_path, EXAMPLE1_FILE.replace("a6 = x\n", f"a6 = {a6}\n"))
+        assert run(["solve", path, "--degree", "4"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: [equation.p] a6: expression nested deeper than")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--preset", "example2", "--degree", "12"],
+        ["solve", "--preset", "example1", "--sweep", "3..12"],
+    ])
+    def test_one_workspace_and_assembly_per_degree_solved(self, capsys, monkeypatch, argv):
+        # the residual check scores the solution on the system it was solved on
+        built, assembled = [], []
+        original_init, original_assemble = _Workspace.__init__, gb.assembly.assemble_linear
+
+        def counting_init(self, *args, **kwargs):
+            built.append(args)
+            original_init(self, *args, **kwargs)
+
+        def counting_assemble(*args, **kwargs):
+            assembled.append(args)
+            return original_assemble(*args, **kwargs)
+
+        monkeypatch.setattr(_Workspace, "__init__", counting_init)
+        for module in (gb.assembly, gb.solver):
+            monkeypatch.setattr(module, "assemble_linear", counting_assemble)
+        assert run(argv) == 0
+        err = capsys.readouterr().err
+        solved = len(re.findall(r"^degree \d+(?::|$)", err, flags=re.M)) or 1
+        assert len(built) == len(assembled) == solved
 
     def test_residual_uses_the_solve_rule(self, capsys):
         # the printed residual is that of the reported solution, on the

@@ -1,5 +1,6 @@
 import math
 import operator
+import re
 import sys
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from galbern import ExprEvalError, ExprSyntaxError, PointState, evaluate, free_vars, parse, to_source
-from galbern.expr import FUNCTIONS, VARIABLES, BinOp, Call, Neg, Num, Pow, Var
+from galbern.expr import FUNCTIONS, MAX_DEPTH, VARIABLES, BinOp, Call, Neg, Num, Pow, Var, _tokenize
 
 
 def ev(source, **state):
@@ -199,6 +200,79 @@ class TestErrors:
             parse(source)
         assert "not finite" in str(info.value)
         assert info.value.offset == offset
+
+
+class TestDepthLimit:
+    """Trees MAX_DEPTH levels deep parse, evaluate, list their variables and
+    print under the default recursion limit; one level more is a syntax
+    error at the token where the limit is crossed."""
+
+    # shape -> (source of depth d, offset of the crossing token at depth d)
+    SHAPES = {
+        "parentheses": (lambda d: "(" * (d - 1) + "x" + ")" * (d - 1), lambda d: d - 1),
+        "unary minus": (lambda d: "-" * (d - 1) + "x", lambda d: d - 1),
+        "calls": (lambda d: "sin(" * (d - 1) + "x" + ")" * (d - 1), lambda d: 4 * (d - 1)),
+        "sum": (lambda d: "x" + "+x" * (d - 1), lambda d: 2 * d - 3),
+        "product": (lambda d: "x" + "*x" * (d - 1), lambda d: 2 * d - 3),
+    }
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_deepest_accepted_tree_survives_every_walk(self, shape):
+        assert sys.getrecursionlimit() <= 1000  # nothing raised the default
+        source, _ = self.SHAPES[shape]
+        e = parse(source(MAX_DEPTH))
+        assert evaluate(e, PointState(x=np.array([0.25, 0.5]))).shape == (2,)
+        assert free_vars(e) == {"x"}
+        assert parse(to_source(e)) == e
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_one_level_deeper_is_refused_where_the_limit_is_crossed(self, shape):
+        source, offset = self.SHAPES[shape]
+        with pytest.raises(ExprSyntaxError, match=f"deeper than {MAX_DEPTH} levels") as info:
+            parse(source(MAX_DEPTH + 1))
+        assert info.value.offset == offset(MAX_DEPTH + 1)
+
+    def test_nesting_adds_up_across_shapes(self):
+        # a sum inside parentheses under a minus: 1 + 1 + (MAX_DEPTH - 2) levels
+        inner = "x" + "+x" * (MAX_DEPTH - 3)
+        parse(f"-({inner})")
+        with pytest.raises(ExprSyntaxError):
+            parse(f"-({inner}+x)")
+
+
+# the tokenizer before it matched with finditer, kept as the reference
+_ANCHORED_TOKEN = re.compile(
+    r"\s*(?:(?P<num>\d+(?:\.\d*)?(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)"
+    r"|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)"
+    r"|(?P<op>[-+*/^()]))"
+)
+
+
+def _tokenize_by_anchored_match(source):
+    tokens, pos = [], 0
+    while pos < len(source):
+        m = _ANCHORED_TOKEN.match(source, pos)
+        if m is None:
+            stripped = source[pos:].lstrip()
+            if not stripped:
+                break
+            at = len(source) - len(stripped)
+            raise ExprSyntaxError(f"unexpected character {source[at]!r}", at)
+        tokens.append((m.lastgroup, m.group(m.lastgroup), m.start(m.lastgroup)))
+        pos = m.end()
+    return tokens + [("end", "", len(source))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(alphabet=" \t\u00a00123456789.eE+-*/^()xpdqsin_@#\u00e9", max_size=24))
+def test_tokenizer_matches_the_anchored_reference(source):
+    def outcome(tokenize):
+        try:
+            return tokenize(source)
+        except ExprSyntaxError as err:
+            return str(err), err.offset
+
+    assert outcome(_tokenize) == outcome(_tokenize_by_anchored_match)
 
 
 ROUND_TRIP_SOURCES = [

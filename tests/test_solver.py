@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -555,6 +556,12 @@ class TestEvalSolution:
             sol.evaluate(0.5, "qp")
         with pytest.raises(ValueError):
             sol.evaluate(0.5, "p", order=3)
+
+    @pytest.mark.parametrize("x", [np.full((2, 3), 0.5), [[0.5]], np.zeros((1, 1, 1))])
+    def test_x_of_more_than_one_dimension_refused(self, x):
+        sol = picard_solve(preset("example1"), 3)
+        with pytest.raises(ValueError, match=re.escape(f"got shape {np.shape(x)}")):
+            sol.evaluate(x, "pq")
 
     @pytest.mark.parametrize("x", [np.linspace(0.05, 0.95, 9), 0.3])
     def test_both_unknowns_from_one_table(self, monkeypatch, x):
