@@ -25,8 +25,10 @@ parts twice (the endpoint values of B_i kill the first boundary term):
 At an end where u' is prescribed, the bracket is known data and moves to the
 right-hand side; at the other (natural) end, u' is replaced by the trial
 derivative, which adds a rank-one term.  The nonlinear term is never
-linearized into the matrix: it is evaluated on a previous iterate and added
-to the right-hand side (see solver.picard_solve).
+linearized into the matrix: solver.picard_solve adds it to the load at the
+previous iterate, and sees this trial space only through the assembled
+system: the defect of a coefficient vector, the grid distance of a step and
+the Solution, which keeps its system for the residual check.
 
 A degree n fixes the discretization: the default_order(n)-point Gauss rule,
 exact for every polynomial integrand assembled here, and a uniform grid of
@@ -37,14 +39,13 @@ degree on [0, 1], cached read-only, and scaled per solve (exactly on [0, 1]).
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from numbers import Real
 
 import numpy as np
 
 from . import expr as ex
 from .basis import MAX_DEGREE, BernsteinBasis
 from .errors import AssemblyError, SpecValidationError
-from .quadrature import default_order, gauss_legendre
+from .quadrature import _finite_real, default_order, gauss_legendre
 
 COEFF_VARS = frozenset(("x",))
 
@@ -73,7 +74,7 @@ class BoundaryData:
             )
         for name in ("value_a", "value_b", "deriv_value"):
             value = getattr(self, name)
-            if not (isinstance(value, Real) and np.isfinite(value)):
+            if not _finite_real(value):
                 raise SpecValidationError(f"{name} must be a finite real number, got {value!r}")
             object.__setattr__(self, name, float(value))
 
@@ -93,10 +94,11 @@ def _check_vars(e, allowed, what, note=""):
 
 
 def _checked_domain(domain):
-    a, b = domain
-    if not (np.isfinite(a) and np.isfinite(b) and b > a):
-        raise SpecValidationError(f"domain must satisfy a < b, got {domain!r}")
-    return (float(a), float(b))
+    ends = tuple(domain) if np.iterable(domain) else ()
+    a, b = map(float, ends) if len(ends) == 2 and all(map(_finite_real, ends)) else (0.0, 0.0)
+    if not a < b:
+        raise SpecValidationError(f"domain must be two finite reals a < b, got {domain!r}")
+    return (a, b)
 
 
 @dataclass(frozen=True)
@@ -134,8 +136,8 @@ class ProblemSpec:
         _check_vars(self.exact_q, COEFF_VARS, "exact q")
         _check_vars(self.m1, frozenset(ex.VARIABLES), "nonlinear term of equation p")
         _check_vars(self.m2, frozenset(ex.VARIABLES), "nonlinear term of equation q")
-        if self.bc_p is None or self.bc_q is None:
-            raise SpecValidationError("boundary data required for both functions")
+        if not (isinstance(self.bc_p, BoundaryData) and isinstance(self.bc_q, BoundaryData)):
+            raise SpecValidationError("BoundaryData required for both functions")
 
     @property
     def is_linear(self):
@@ -156,7 +158,8 @@ class AffineOffset:
 
     def __post_init__(self):
         c = tuple(self.coefficients) if np.iterable(self.coefficients) else ()
-        if not c or not all(isinstance(ck, Real) for ck in c):
+        # float NaN and inf pass (the interpolation check refuses them), 10**400 not
+        if not c or not all(isinstance(ck, (float, np.floating)) or _finite_real(ck) for ck in c):
             raise SpecValidationError(f"offset needs real coefficients, got {self.coefficients!r}")
         object.__setattr__(self, "coefficients", tuple(map(float, c)))
 
@@ -224,6 +227,57 @@ class AssembledSystem:
         self.rhs.setflags(write=False)
 
 
+@dataclass(frozen=True)
+class Solution:
+    """Offsets plus interior coefficients for the pair of unknowns.
+
+    A solution from picard_solve also has grid_values, p and q as evaluate
+    gives them on linspace(a, b, 101), and keeps the system it was solved on
+    (no constructor argument: hand-built or replaced solutions have none).
+    """
+
+    basis: BernsteinBasis
+    offset_p: object
+    offset_q: object
+    coeffs_p: np.ndarray
+    coeffs_q: np.ndarray
+    iterations_used: int
+    converged: bool
+    grid_values: "np.ndarray | None" = None
+    _system: "AssembledSystem | None" = field(default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        m = self.basis.degree - 1
+        for name in ("coeffs_p", "coeffs_q"):
+            coeffs = np.asarray(getattr(self, name), dtype=float)
+            if coeffs.shape != (m,):
+                raise SpecValidationError(f"{name} must have shape ({m},), got {coeffs.shape}")
+            coeffs.setflags(write=False)
+            object.__setattr__(self, name, coeffs)
+        if self.grid_values is not None:
+            self.grid_values.setflags(write=False)
+
+    def evaluate(self, x, which="p", order=0):
+        """Trial function value theta^(order) + sum c_j B_j^(order) at x.
+
+        which selects 'p' or 'q', or 'pq' for both as the rows of one array
+        from one basis table; order is 0, 1 or 2.  x is a scalar or a 1-d
+        array inside the domain.
+        """
+        if np.ndim(x) > 1:
+            raise ValueError(f"x must be a scalar or a 1-d array, got shape {np.shape(x)}")
+        if which not in ("p", "q", "pq"):
+            raise ValueError(f"which must be 'p', 'q' or 'pq', got {which!r}")
+        if order not in (0, 1, 2):
+            raise ValueError(f"order must be 0, 1 or 2, got {order!r}")
+        table = self.basis.interior_table(x, order)
+        parts = {"p": (self.offset_p, self.coeffs_p), "q": (self.offset_q, self.coeffs_q)}
+        rows = [theta.value(x, order) + coeffs @ table for theta, coeffs in map(parts.get, which)]
+        if np.isscalar(x):
+            rows = [float(row[0]) for row in rows]
+        return rows[0] if len(which) == 1 else np.array(rows)
+
+
 @lru_cache(maxsize=MAX_DEGREE)  # one entry per degree
 def _reference_tables(n):
     """Read-only node tables (orders 0-2), end derivatives and grid table of
@@ -277,15 +331,13 @@ class _Workspace:
         self.m = n - 1
 
 
-def _system_of(spec, sol):
-    """sol's own system if solved on this very spec, else one at its degree and offsets."""
-    if sol._system is not None and sol._system._workspace.spec is spec:
-        return sol._system
+def _own_system(spec, sol):
+    """The system picard_solve solved sol on, if it did so for this very spec, else None."""
     if sol.basis.interval != spec.domain:
         raise SpecValidationError(
             f"solution interval {sol.basis.interval} differs from the problem domain {spec.domain}"
         )
-    return assemble_linear(spec, sol.basis.degree, (sol.offset_p, sol.offset_q))
+    return sol._system if sol._system and sol._system._workspace.spec is spec else None
 
 
 def _equation_blocks(ws, coeffs, forcing, bc, u, v):
@@ -347,29 +399,46 @@ def assemble_linear(spec, degree, offsets=None):
     return system
 
 
-def _trial_values(ws, c, which):
-    return tuple(table[-1] + c @ table[:-1] for table in ws.trial[which])
-
-
 def _nonlinear_load(ws, c):
     """assemble_nonlinear_rhs at the coefficient vector c (p block, then q)."""
-    m = ws.m
-    out = np.zeros(2 * m)
-    spec = ws.spec
+    spec, out = ws.spec, np.zeros(2 * ws.m)
     if spec.is_linear:
         return out
-    p0, p1, p2 = _trial_values(ws, c[:m], "p")
-    q0, q1, q2 = _trial_values(ws, c[m:], "q")
+    p0, p1, p2, q0, q1, q2 = (  # orders 0-2 of the trial functions at the nodes
+        t[-1] + cu @ t[:-1] for u, cu in zip("pq", c.reshape(2, ws.m)) for t in ws.trial[u]
+    )
     state = ex.PointState(x=ws.xs, p=p0, dp=p1, d2p=p2, q=q0, dq=q1, d2q=q2)
-    P0 = ws.tables[0]
-    for term, sl in ((spec.m1, slice(0, m)), (spec.m2, slice(m, 2 * m))):
-        if term is None:
-            continue
-        mv = ex.evaluate(term, state)
-        # divergent iterates may overflow here; the solver checks finiteness
-        with np.errstate(over="ignore", invalid="ignore"):
-            out[sl] = -(P0 @ (ws.w * mv))
+    for term, sl in ((spec.m1, slice(0, ws.m)), (spec.m2, slice(ws.m, None))):
+        if term is not None:
+            mv = ex.evaluate(term, state)
+            # divergent iterates may overflow here; the solver checks finiteness
+            with np.errstate(over="ignore", invalid="ignore"):
+                out[sl] = -(ws.tables[0] @ (ws.w * mv))
     return out
+
+
+def _defect(system, c):
+    """rhs + nonlinear load at c - K c: what the lagged step from c corrects."""
+    return system.rhs + _nonlinear_load(system._workspace, c) - system.matrix @ c
+
+
+def _grid_distance(system, step):
+    """Grid sup-norm of a step: iterates share their offsets, so there they differ by it."""
+    return float(np.max(np.abs(step.reshape(2, system.size) @ system._workspace.grid_table)))
+
+
+def _solution(system, c, iterations_used, converged):
+    """The Solution at coefficient vector c, with its grid values and its system."""
+    ws = system._workspace
+    coeffs = c.reshape(2, ws.m)
+    # evaluate's product; bit for bit on [0, 1], where the tables are too
+    grid_values = np.array(
+        [ws.theta[u].value(ws.grid) + cu @ ws.grid_table for u, cu in zip("pq", coeffs)]
+    )
+    sol = Solution(ws.basis, ws.theta["p"], ws.theta["q"], *coeffs, iterations_used, converged,
+                   grid_values)
+    object.__setattr__(sol, "_system", system)
+    return sol
 
 
 def assemble_nonlinear_rhs(spec, current):
@@ -382,8 +451,10 @@ def assemble_nonlinear_rhs(spec, current):
     is chosen as in residual_norm, and a current on another interval raises
     SpecValidationError.
     """
-    c = np.concatenate([current.coeffs_p, current.coeffs_q])
-    return _nonlinear_load(_system_of(spec, current)._workspace, c)
+    system = _own_system(spec, current)
+    offsets = (current.offset_p, current.offset_q)
+    ws = system._workspace if system else _Workspace(spec, current.basis.degree, offsets)
+    return _nonlinear_load(ws, np.concatenate([current.coeffs_p, current.coeffs_q]))
 
 
 def residual_norm(spec, sol):
@@ -397,7 +468,8 @@ def residual_norm(spec, sol):
     Raises:
         SpecValidationError: sol lives on another interval than spec.
     """
-    system = _system_of(spec, sol)
+    offsets = (sol.offset_p, sol.offset_q)
+    system = _own_system(spec, sol) or assemble_linear(spec, sol.basis.degree, offsets)
     c = np.concatenate([sol.coeffs_p, sol.coeffs_q])
     nl = _nonlinear_load(system._workspace, c)
     return float(np.max(np.abs(system.matrix @ c - system.rhs - nl)))

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
+from .quadrature import _finite_real
 
 MAX_DEGREE = 30
 
@@ -54,8 +55,8 @@ class BernsteinBasis:
             raise ValueError(f"degree must be an integer >= 3, got {self.degree!r}")
         if n > MAX_DEGREE:
             raise ValueError(f"degree {n} exceeds the supported cap {MAX_DEGREE}")
-        if not (np.isfinite(a) and np.isfinite(b) and b > a):
-            raise ValueError(f"interval must satisfy a < b, got {self.interval!r}")
+        if not (_finite_real(a) and _finite_real(b) and float(b) > float(a)):
+            raise ValueError(f"interval must satisfy finite a < b, got {self.interval!r}")
         object.__setattr__(self, "degree", n)
         object.__setattr__(self, "interval", (float(a), float(b)))
 

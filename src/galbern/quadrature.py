@@ -6,15 +6,25 @@ integrates polynomials of degree <= 2G - 1 exactly, which is what the
 Galerkin assembly relies on.
 """
 
+import math
 import operator
 from dataclasses import dataclass
 from functools import lru_cache
+from numbers import Real
 
 import numpy as np
 
 from .errors import QuadratureOrderError
 
 MAX_ORDER = 64
+
+
+def _finite_real(x):
+    """True for a real number that a float holds finitely (not NaN, inf or 10**400)."""
+    try:
+        return isinstance(x, Real) and math.isfinite(x)
+    except OverflowError:  # an integer beyond float range
+        return False
 
 
 @dataclass(frozen=True)
@@ -62,7 +72,7 @@ def gauss_legendre(G, a, b):
         raise ValueError(f"quadrature order must be an integer >= 1, got {G!r}")
     if order > MAX_ORDER:
         raise QuadratureOrderError(f"order {order} exceeds the supported cap {MAX_ORDER}")
-    if not (np.isfinite(a) and np.isfinite(b) and b > a):
+    if not (_finite_real(a) and _finite_real(b) and float(b) > float(a)):
         raise ValueError(f"interval must satisfy finite a < b, got ({a}, {b})")
 
     t, w = _reference_rule(order)

@@ -56,10 +56,8 @@ class SixthOrderSpec:
             self.nonlinear, _M_VARS, "nonlinear term",
             " (derivatives above second order cannot be carried through the reduction)",
         )
-        if self.bc_p is None or self.bc_q is None:
-            raise SpecValidationError(
-                "reduced boundary data for both p and q must be supplied"
-            )
+        if not (isinstance(self.bc_p, BoundaryData) and isinstance(self.bc_q, BoundaryData)):
+            raise SpecValidationError("reduced BoundaryData for both p and q must be supplied")
 
 
 def reduce(spec6):

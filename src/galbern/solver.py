@@ -1,34 +1,35 @@
 """Dense solve, lagged-nonlinearity (Picard) iteration and degree refinement.
 
-A solve proceeds in two stages.  The bootstrap drops the nonlinear terms and
-solves the purely linear system once; every later iteration re-solves the
-same matrix against the linear load plus the nonlinear load evaluated on the
-previous iterate.  The degree fixes the discretization, which is built once
-per solve from tables cached per degree, and the matrix is factored
-once, K = QR, by LAPACK's Householder QR; a negligible diagonal entry of R is
-refused as a singular system.  R is then eliminated once, to form R^-1,
-and every application of K^-1 is the same correction of a defect d: y = Q^T d
-and x = R^-1 y, refined once as x + R^-1 (y - R x).  The bootstrap applies it
-to the linear load and once more to its residual against K; each iteration
-applies it to the defect of the current iterate after one vectorized
-expression evaluation per nonlinear term.  The inverse is of R, not of
-K: an explicit K^-1 at cond(K) ~ 2e15 gives I - K^-1 K a spectral radius
-above 1 and changes iteration counts, while the triangular inverse is as
-accurate as substitution (Du Croz and Higham 1992) once its product is
+The solver works on coefficient vectors only; the assembled system supplies
+the defect of an iterate, the grid distance of a step and the Solution, so
+the layout of the trial space is known to assembly alone.  A solve proceeds
+in two stages.  The bootstrap drops the nonlinear terms and solves the purely
+linear system once; every later iteration re-solves the same matrix against
+the linear load plus the nonlinear load evaluated on the previous iterate.
+The matrix is factored once, K = QR, by LAPACK's Householder QR; a negligible
+diagonal entry of R is refused as a singular system.  R is then eliminated
+once, to form R^-1, and every application of K^-1 is the same correction of a
+defect d: y = Q^T d and x = R^-1 y, refined once as x + R^-1 (y - R x).  The
+bootstrap applies it to the linear load and once more to its residual against
+K; each iteration applies it to the defect of the current iterate after one
+vectorized expression evaluation per nonlinear term.  The inverse is of R,
+not of K: an explicit K^-1 at cond(K) ~ 2e15 gives I - K^-1 K a spectral
+radius above 1 and changes iteration counts, while the triangular inverse is
+as accurate as substitution (Du Croz and Higham 1992) once its product is
 refined against R.  A product with an explicit inverse is not backward
-stable, so without that refinement the fifth iterate of example2 at degree
-30 is 6.6e-10 off on the grid, against 9e-13 for substitution.  Successive
+stable, so without that refinement the fifth iterate of example2 at degree 30
+is 6.6e-10 off on the grid, against 9e-13 for substitution.  Successive
 iterates are compared in the sup norm on a uniform evaluation grid, and the
 same measure compares solutions of consecutive degrees in a refinement sweep.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from numbers import Integral
 
 import numpy as np
 
-from .assembly import _nonlinear_load, assemble_linear
-from .basis import MAX_DEGREE, BernsteinBasis
+from .assembly import Solution, _defect, _grid_distance, _solution, assemble_linear
+from .basis import MAX_DEGREE
 from .errors import DivergenceError, NonConvergenceError, SingularSystemError, SpecValidationError
 
 # relative threshold below which a diagonal entry of R counts as singular
@@ -76,57 +77,6 @@ class SolverConfig:
             raise ValueError("need 3 <= min_degree <= max_degree")
         if self.max_degree > MAX_DEGREE:
             raise ValueError(f"max_degree {self.max_degree} exceeds the degree cap {MAX_DEGREE}")
-
-
-@dataclass(frozen=True)
-class Solution:
-    """Offsets plus interior coefficients for the pair of unknowns.
-
-    picard_solve also fills grid_values, p and q as evaluate gives them on
-    linspace(a, b, 101), and keeps the system it solved on for residual_norm
-    (no constructor argument: hand-built or replaced solutions have none).
-    """
-
-    basis: BernsteinBasis
-    offset_p: object
-    offset_q: object
-    coeffs_p: np.ndarray
-    coeffs_q: np.ndarray
-    iterations_used: int
-    converged: bool
-    grid_values: "np.ndarray | None" = None
-    _system: object = field(default=None, init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        m = self.basis.degree - 1
-        for name in ("coeffs_p", "coeffs_q"):
-            coeffs = np.asarray(getattr(self, name), dtype=float)
-            if coeffs.shape != (m,):
-                raise SpecValidationError(f"{name} must have shape ({m},), got {coeffs.shape}")
-            coeffs.setflags(write=False)
-            object.__setattr__(self, name, coeffs)
-        if self.grid_values is not None:
-            self.grid_values.setflags(write=False)
-
-    def evaluate(self, x, which="p", order=0):
-        """Trial function value theta^(order) + sum c_j B_j^(order) at x.
-
-        which selects 'p' or 'q', or 'pq' for both as the rows of one array
-        from one basis table; order is 0, 1 or 2.  x is a scalar or a 1-d
-        array inside the domain.
-        """
-        if np.ndim(x) > 1:
-            raise ValueError(f"x must be a scalar or a 1-d array, got shape {np.shape(x)}")
-        if which not in ("p", "q", "pq"):
-            raise ValueError(f"which must be 'p', 'q' or 'pq', got {which!r}")
-        if order not in (0, 1, 2):
-            raise ValueError(f"order must be 0, 1 or 2, got {order!r}")
-        table = self.basis.interior_table(x, order)
-        parts = {"p": (self.offset_p, self.coeffs_p), "q": (self.offset_q, self.coeffs_q)}
-        rows = [theta.value(x, order) + coeffs @ table for theta, coeffs in map(parts.get, which)]
-        if np.isscalar(x):
-            rows = [float(row[0]) for row in rows]
-        return rows[0] if len(which) == 1 else np.array(rows)
 
 
 @dataclass(frozen=True)
@@ -218,56 +168,37 @@ def picard_solve(spec, degree, config=None, offsets=None):
     Raises:
         NonConvergenceError: iteration budget exhausted.
         DivergenceError: an iterate distance at or above picard_tol was 10x
-            the one five iterations before, or the iterate stopped being
-            finite.
+            the one five iterations before, or the defect of an iterate or
+            the step from it stopped being finite.
     """
     config = config or SolverConfig()
     system = assemble_linear(spec, degree, offsets)
-    ws = system._workspace
-    m = system.size
-    K, rhs = system.matrix, system.rhs
-    factors = _qr_factor(K)
-    c = _qr_solve(K, factors, rhs)
-    converged = spec.is_linear
-    target = 0 if converged else (
-        config.fixed_iters if config.fixed_iters is not None else config.max_picard_iters
-    )
+    factors = _qr_factor(system.matrix)
+    c = _qr_solve(system.matrix, factors, system.rhs)
+    fixed = config.fixed_iters
+    budget = 0 if spec.is_linear else config.max_picard_iters if fixed is None else fixed
     distances = []
-    k = 0
-    for k in range(1, target + 1):
-        # defect correction: the lagged step c = K^-1 (rhs + nonlinear load),
-        # taken as a correction to the current iterate
-        step = _qr_correct(factors, rhs + _nonlinear_load(ws, c) - K @ c)
-        c = c + step
-        if not np.all(np.isfinite(c)):
+    for k in range(1, budget + 1):
+        # the lagged step to K^-1 (rhs + nonlinear load), as a defect correction
+        defect = _defect(system, c)
+        if not np.all(np.isfinite(defect)):
             raise DivergenceError(k, "iterate became non-finite")
-        # iterates share their offsets, so on the grid they differ by the step
-        dist = float(np.max(np.abs(step.reshape(2, m) @ ws.grid_table)))
+        step = _qr_correct(factors, defect)
+        c = c + step
+        dist = _grid_distance(system, step)
+        if not dist < np.inf:  # the step overflowed; a NaN distance fails the test too
+            raise DivergenceError(k, "iterate became non-finite")
         distances.append(dist)
-        converged = dist < config.picard_tol
-        if k == config.fixed_iters or (converged and config.fixed_iters is None):
+        if k == fixed or (dist < config.picard_tol and fixed is None):
             break
-        if (  # past convergence the distances only jitter at round-off
-            dist >= config.picard_tol
-            and len(distances) > _DIVERGENCE_WINDOW
-            and distances[-1] > _DIVERGENCE_FACTOR * distances[-1 - _DIVERGENCE_WINDOW]
-        ):
+        before = distances[-1 - _DIVERGENCE_WINDOW] if k > _DIVERGENCE_WINDOW else np.inf
+        # past convergence the distances only jitter at round-off
+        if dist >= config.picard_tol and dist > _DIVERGENCE_FACTOR * before:
             raise DivergenceError(k)
-    else:
-        if target:
-            raise NonConvergenceError(target, distances[-2:])
-    coeffs = {"p": c[:m], "q": c[m:]}
-    # evaluate's product; bit for bit on [0, 1], where the tables are too
-    grid_values = np.array(
-        [ws.theta[u].value(ws.grid) + cu @ ws.grid_table for u, cu in coeffs.items()]
-    )
-    sol = Solution(
-        basis=ws.basis, offset_p=ws.theta["p"], offset_q=ws.theta["q"],
-        coeffs_p=coeffs["p"], coeffs_q=coeffs["q"], iterations_used=k, converged=converged,
-        grid_values=grid_values,
-    )
-    object.__setattr__(sol, "_system", system)
-    return sol
+    converged = distances[-1] < config.picard_tol if distances else spec.is_linear
+    if not converged and fixed is None:
+        raise NonConvergenceError(budget, distances[-2:])
+    return _solution(system, c, len(distances), converged)
 
 
 def refine_solve(spec, config=None):

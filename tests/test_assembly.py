@@ -539,6 +539,29 @@ class TestSpecValidation:
                 bc_q=BoundaryData(0.0, 0.0, "a", 0.0),
             )
 
+    @pytest.mark.parametrize("domain", [(0, 10**400), ("0", "1"), (0, 1, 2), 1.0],
+                             ids=["beyond float range", "strings", "three ends", "a number"])
+    def test_domain_must_be_two_finite_reals(self, domain):
+        bc = BoundaryData(0.0, 0.0, "a", 0.0)
+        with pytest.raises(SpecValidationError, match="domain must be two finite reals"):
+            ProblemSpec(domain=domain, bc_p=bc, bc_q=bc)
+
+    def test_boundary_data_must_be_boundary_data(self):
+        bc = BoundaryData(0.0, 0.0, "a", 0.0)
+        with pytest.raises(SpecValidationError, match="BoundaryData required"):
+            ProblemSpec(domain=(0.0, 1.0), bc_p=(0, 0, "a", 0), bc_q=bc)
+
+    def test_five_coefficients_refused(self):
+        bc = BoundaryData(0.0, 0.0, "a", 0.0)
+        with pytest.raises(SpecValidationError, match="a1..a6 must have length 6"):
+            ProblemSpec(domain=(0.0, 1.0), p_coeffs=(None,) * 5, bc_p=bc, bc_q=bc)
+
+    def test_overflowing_load_is_an_assembly_error(self):
+        bc = BoundaryData(0.0, 0.0, "a", 0.0)
+        spec = ProblemSpec(domain=(0.0, 1.0), f=gb.parse("1e200 * 1e200 * x"), bc_p=bc, bc_q=bc)
+        with pytest.raises(AssemblyError, match="non-finite load entry at row 0"):
+            assemble_linear(spec, 5)
+
     def test_bad_deriv_end(self):
         with pytest.raises(SpecValidationError):
             BoundaryData(0.0, 0.0, "left", 0.0)
@@ -557,7 +580,9 @@ class TestSpecValidation:
         assert (bc.value_a, bc.value_b, bc.deriv_value) == (0.5, 2.0, 0.25)
         assert all(type(v) is float for v in (bc.value_a, bc.value_b, bc.deriv_value))
 
-    @pytest.mark.parametrize("value", ["1.0", None, 1 + 0j])
+    @pytest.mark.parametrize("value", [
+        "1.0", None, 1 + 0j, pytest.param(10**400, id="beyond float range"),
+    ])
     def test_non_real_boundary_data(self, value):
         with pytest.raises(SpecValidationError, match="value_a must be a finite real number"):
             BoundaryData(value, 0.0, "a", 0.0)
@@ -577,6 +602,7 @@ class TestSpecValidation:
 class TestAffineOffsetCoefficients:
     @pytest.mark.parametrize("coefficients", [
         1.0, (), [], ("1", "2"), "12", (1.0, "2"), (1 + 2j,), ((1.0, 2.0),), None, np.float64(3.0),
+        (10**400, 1.0),
     ])
     def test_non_real_or_empty_refused(self, coefficients):
         with pytest.raises(SpecValidationError, match="offset needs real coefficients"):
@@ -647,6 +673,43 @@ class TestSolutionSystem:
         assert len(built) == 1
         assemble_nonlinear_rhs(spec, sol)
         assert len(built) == 2
+
+    @staticmethod
+    def _count_assemblies(monkeypatch):
+        assembled = []
+        original = gb.assembly.assemble_linear
+
+        def counting(*args, **kwargs):
+            assembled.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(gb.assembly, "assemble_linear", counting)
+        return assembled
+
+    def test_unlinked_nonlinear_load_assembles_no_system(self, monkeypatch):
+        # the load needs the workspace's tables only, not K and rhs
+        spec = preset("example1")
+        sol = _manual_solution(BernsteinBasis(4, spec.domain), [0.1, 0.2, 0.3],
+                               [0.0, -0.1, 0.2], spec.bc_p, spec.bc_q)
+        assembled = self._count_assemblies(monkeypatch)
+        assemble_nonlinear_rhs(spec, sol)
+        assert assembled == []
+        residual_norm(spec, sol)
+        assert len(assembled) == 1
+
+    def test_unlinked_load_ignores_a_blown_up_coefficient(self):
+        # a1 overflows to inf: K cannot be assembled, but the load needs no K
+        spec = preset("example1")
+        spec = replace(spec, p_coeffs=(gb.parse("1e200 * 1e200"),) + spec.p_coeffs[1:])
+        sol = _manual_solution(BernsteinBasis(4, spec.domain), [0.1, 0.2, 0.3],
+                               [0.0, -0.1, 0.2], spec.bc_p, spec.bc_q)
+        load = assemble_nonlinear_rhs(spec, sol)
+        assert load.shape == (6,) and np.all(np.isfinite(load)) and np.any(load)
+        with pytest.raises(AssemblyError, match="non-finite matrix entry"):
+            residual_norm(spec, sol)
+
+    def test_solution_lives_in_assembly(self):
+        assert gb.solver.Solution is gb.assembly.Solution is gb.Solution
 
     def test_link_is_no_constructor_argument_and_stays_out_of_repr_and_eq(self):
         spec = preset("example1")

@@ -260,3 +260,5 @@ class TestValidation:
             BernsteinBasis(3, (1.0, 1.0))
         with pytest.raises(ValueError):
             BernsteinBasis(3, (2.0, -1.0))
+        with pytest.raises(ValueError, match="interval must satisfy finite a < b"):
+            BernsteinBasis(5, (0, 10**400))

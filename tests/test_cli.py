@@ -149,6 +149,11 @@ class TestLoadProblem:
             load_problem(write_problem(tmp_path, text))
         assert "bc.q" in str(info.value)
 
+    def test_malformed_file(self, tmp_path):
+        text = EXAMPLE1_FILE.replace("[domain]\n", "a = 0\n[domain]\n", 1)  # key before any section
+        with pytest.raises(ProblemFileError, match="malformed problem file"):
+            load_problem(write_problem(tmp_path, text))
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ProblemFileError):
             load_problem(str(tmp_path / "nope.prob"))
@@ -200,6 +205,14 @@ class TestDumpProblem:
         again = load_problem(write_problem(tmp_path, text, "numpy.prob"))
         assert again.bc_p == spec.bc_p and again.bc_q == spec.bc_q
 
+    def test_derivative_at_b_round_trip(self, tmp_path):
+        text = EXAMPLE1_FILE.replace("deriv_a = 0\n\n[bc.q]", "deriv_b = 0.5\n\n[bc.q]")
+        spec = load_problem(write_problem(tmp_path, text, "deriv_b.prob"))
+        assert spec.bc_p == BoundaryData(0.0, 0.0, "b", 0.5) and spec.bc_q.deriv_end == "a"
+        dumped = dump_problem(spec)
+        assert "deriv_b = 0.5\n" in dumped
+        assert load_problem(write_problem(tmp_path, dumped, "again.prob")) == spec
+
     def test_bc_floats_survive_exactly(self, tmp_path):
         spec = preset("example3")
         path = tmp_path / "dumped.prob"
@@ -238,6 +251,10 @@ class TestPresets:
     def test_unknown_name(self):
         with pytest.raises(ValueError):
             preset("example9")
+
+    def test_coupled_preset_is_no_sixth_order_preset(self):
+        with pytest.raises(ValueError, match="no sixth-order preset named 'example1'"):
+            gb.sixth_order_preset("example1")
 
 
 X = sp.Symbol("x")

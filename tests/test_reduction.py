@@ -94,6 +94,15 @@ class TestValidation:
                 bc_q=_bc(0.0, 0.0, "a", 0.0),
             )
 
+    def test_five_coefficients_refused(self):
+        with pytest.raises(SpecValidationError, match="c0..c5 must have length 6"):
+            SixthOrderSpec(
+                domain=(0.0, 1.0),
+                coeffs=(None,) * 5,
+                bc_p=_bc(0.0, 0.0, "a", 0.0),
+                bc_q=_bc(0.0, 0.0, "a", 0.0),
+            )
+
     def test_boundary_data_required(self):
         with pytest.raises(SpecValidationError):
             SixthOrderSpec(domain=(0.0, 1.0), bc_p=_bc(0.0, 0.0, "a", 0.0))

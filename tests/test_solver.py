@@ -1,4 +1,5 @@
 import re
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -338,6 +339,28 @@ class TestPicardSolve:
         )
         with pytest.raises(DivergenceError):
             picard_solve(explosive, 3)
+
+    @pytest.mark.parametrize("degree", [4, 8])
+    def test_overflowing_load_diverges_without_a_warning(self, degree):
+        # the load overflows on the second iterate; the defect is checked
+        # before it reaches the factors, where numpy would warn
+        spec = preset("example1")
+        blowup = replace(spec, m2=gb.parse("1e200 * p * p * p"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DivergenceError, match="iterate became non-finite") as info:
+                picard_solve(blowup, degree)
+        assert info.value.iterations == 2
+
+    def test_overflowing_step_is_refused_in_replication_mode(self):
+        # the defect is finite but its correction overflows: the one fixed
+        # iterate must raise, not come back as NaN
+        bc = BoundaryData(0.0, 0.0, "a", 0.0)
+        spec = ProblemSpec(domain=(0.0, 1e6), m1=gb.parse("1e295"), bc_p=bc, bc_q=bc)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DivergenceError, match="iterate became non-finite") as info:
+                picard_solve(spec, 8, SolverConfig(fixed_iters=1))
+        assert info.value.iterations == 1
 
     def test_monotone_error_decay_across_degrees(self):
         # fully converge each degree so the comparison sees approximation
