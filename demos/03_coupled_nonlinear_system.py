@@ -17,7 +17,6 @@ from galbern import (
     assemble_linear,
     default_order,
     picard_solve,
-    residual_norm,
     solve_dense,
 )
 from galbern.cli import error_table, format_table, preset
@@ -39,7 +38,7 @@ print(f"\nbootstrap (nonlinear terms dropped): coefficients {bootstrap}")
 # ---- the full solve ------------------------------------------------------
 sol = picard_solve(spec, degree)
 print(f"\nconverged after {sol.iterations_used} lagged iterations")
-print(f"discrete residual at the solution: {residual_norm(spec, sol):.2e}")
+print(f"discrete residual at the solution: {sol.residual:.2e}")
 print(f"p coefficients: {sol.coeffs_p}")
 print(f"q coefficients: {sol.coeffs_q}")
 

@@ -28,7 +28,7 @@ derivative, which adds a rank-one term.  The nonlinear term is never
 linearized into the matrix: solver.picard_solve adds it to the load at the
 previous iterate, and sees this trial space only through the assembled
 system: the defect of a coefficient vector, the grid distance of a step and
-the Solution, which keeps its system for the residual check.
+the Solution, which keeps its system and scores its residual there.
 
 A degree n fixes the discretization: the default_order(n)-point Gauss rule,
 exact for every polynomial integrand assembled here, and a uniform grid of
@@ -45,7 +45,7 @@ import numpy as np
 from . import expr as ex
 from .basis import MAX_DEGREE, BernsteinBasis
 from .errors import AssemblyError, SpecValidationError
-from .quadrature import _finite_real, default_order, gauss_legendre
+from .quadrature import _finite_interval, _finite_real, default_order, gauss_legendre
 
 COEFF_VARS = frozenset(("x",))
 
@@ -86,7 +86,10 @@ class BoundaryData:
 def _check_vars(e, allowed, what, note=""):
     if e is None:
         return
-    extra = ex.free_vars(e) - allowed
+    try:
+        extra = ex.free_vars(e) - allowed
+    except TypeError:  # a node that is not an expression
+        raise SpecValidationError(f"{what} must be an expression, got {e!r}") from None
     if extra:
         raise SpecValidationError(
             f"{what} may only use {sorted(allowed)}; found {sorted(extra)}{note}"
@@ -94,11 +97,10 @@ def _check_vars(e, allowed, what, note=""):
 
 
 def _checked_domain(domain):
-    ends = tuple(domain) if np.iterable(domain) else ()
-    a, b = map(float, ends) if len(ends) == 2 and all(map(_finite_real, ends)) else (0.0, 0.0)
-    if not a < b:
+    interval = _finite_interval(domain)
+    if interval is None:
         raise SpecValidationError(f"domain must be two finite reals a < b, got {domain!r}")
-    return (a, b)
+    return interval
 
 
 @dataclass(frozen=True)
@@ -232,8 +234,8 @@ class Solution:
     """Offsets plus interior coefficients for the pair of unknowns.
 
     A solution from picard_solve also has grid_values, p and q as evaluate
-    gives them on linspace(a, b, 101), and keeps the system it was solved on
-    (no constructor argument: hand-built or replaced solutions have none).
+    gives them on linspace(a, b, 101), and keeps the system it was solved on,
+    where residual scores it; hand-built or replaced ones have none (None).
     """
 
     basis: BernsteinBasis
@@ -256,6 +258,10 @@ class Solution:
             object.__setattr__(self, name, coeffs)
         if self.grid_values is not None:
             self.grid_values.setflags(write=False)
+
+    @property
+    def residual(self):
+        return None if self._system is None else _sup_defect(self._system, self)
 
     def evaluate(self, x, which="p", order=0):
         """Trial function value theta^(order) + sum c_j B_j^(order) at x.
@@ -329,15 +335,6 @@ class _Workspace:
             self.trial_d1[u] = np.append(self.d1[e], theta.value(a if e == "a" else b, 1))
         self.tables = tuple(table[:-1] for table in self.trial["p"])
         self.m = n - 1
-
-
-def _own_system(spec, sol):
-    """The system picard_solve solved sol on, if it did so for this very spec, else None."""
-    if sol.basis.interval != spec.domain:
-        raise SpecValidationError(
-            f"solution interval {sol.basis.interval} differs from the problem domain {spec.domain}"
-        )
-    return sol._system if sol._system and sol._system._workspace.spec is spec else None
 
 
 def _equation_blocks(ws, coeffs, forcing, bc, u, v):
@@ -422,6 +419,10 @@ def _defect(system, c):
     return system.rhs + _nonlinear_load(system._workspace, c) - system.matrix @ c
 
 
+def _sup_defect(system, sol):
+    return float(np.max(np.abs(_defect(system, np.concatenate([sol.coeffs_p, sol.coeffs_q])))))
+
+
 def _grid_distance(system, step):
     """Grid sup-norm of a step: iterates share their offsets, so there they differ by it."""
     return float(np.max(np.abs(step.reshape(2, system.size) @ system._workspace.grid_table)))
@@ -441,35 +442,36 @@ def _solution(system, c, iterations_used, converged):
     return sol
 
 
+def _check_interval(spec, sol):
+    if sol.basis.interval != spec.domain:
+        raise SpecValidationError(
+            f"solution interval {sol.basis.interval} differs from the problem domain {spec.domain}"
+        )
+
+
 def assemble_nonlinear_rhs(spec, current):
     """Load-vector contribution of the nonlinear terms at a given solution.
 
     Entry i of the block for an equation with nonlinear term M is
     -int M(x, p~, p~', p~'', q~, q~', q~'') B_i dx, with p~, q~ the full
     trial functions of `current` (offsets included), at current's degree.
-    Zero blocks when the corresponding term is absent.  The discretization
-    is chosen as in residual_norm, and a current on another interval raises
-    SpecValidationError.
+    Zero blocks when the corresponding term is absent.  K is never
+    assembled; a current on another interval raises SpecValidationError.
     """
-    system = _own_system(spec, current)
-    offsets = (current.offset_p, current.offset_q)
-    ws = system._workspace if system else _Workspace(spec, current.basis.degree, offsets)
+    _check_interval(spec, current)
+    ws = _Workspace(spec, current.basis.degree, (current.offset_p, current.offset_q))
     return _nonlinear_load(ws, np.concatenate([current.coeffs_p, current.coeffs_q]))
 
 
 def residual_norm(spec, sol):
     """Sup-norm of the discrete weighted residual at a solution.
 
-    On the system picard_solve solved sol on, if it did so for this spec
-    object, else on a fresh assemble_linear at sol's degree and offsets; the
-    nonlinear load is evaluated at sol over the same tables, so a fixed point
-    of the lagged iteration scores at the linear-solver residual scale.
+    On a fresh assemble_linear at sol's degree and offsets, so a fixed point
+    of the lagged iteration scores at the linear-solver residual scale;
+    sol.residual scores a solved solution on its own system instead.
 
     Raises:
         SpecValidationError: sol lives on another interval than spec.
     """
-    offsets = (sol.offset_p, sol.offset_q)
-    system = _own_system(spec, sol) or assemble_linear(spec, sol.basis.degree, offsets)
-    c = np.concatenate([sol.coeffs_p, sol.coeffs_q])
-    nl = _nonlinear_load(system._workspace, c)
-    return float(np.max(np.abs(system.matrix @ c - system.rhs - nl)))
+    _check_interval(spec, sol)
+    return _sup_defect(assemble_linear(spec, sol.basis.degree, (sol.offset_p, sol.offset_q)), sol)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .quadrature import _finite_real
+from .quadrature import _finite_interval
 
 MAX_DEGREE = 30
 
@@ -50,15 +50,15 @@ class BernsteinBasis:
             n = operator.index(self.degree)  # numpy integers too, not 5.0
         except TypeError:
             n = None
-        a, b = self.interval
+        interval = _finite_interval(self.interval)
         if n is None or n < 3:
             raise ValueError(f"degree must be an integer >= 3, got {self.degree!r}")
         if n > MAX_DEGREE:
             raise ValueError(f"degree {n} exceeds the supported cap {MAX_DEGREE}")
-        if not (_finite_real(a) and _finite_real(b) and float(b) > float(a)):
+        if interval is None:
             raise ValueError(f"interval must satisfy finite a < b, got {self.interval!r}")
         object.__setattr__(self, "degree", n)
-        object.__setattr__(self, "interval", (float(a), float(b)))
+        object.__setattr__(self, "interval", interval)
 
     def interior_indices(self):
         """Indices of the members vanishing at both endpoints: [1, ..., n-1]."""

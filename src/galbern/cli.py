@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import expr as ex
-from .assembly import BoundaryData, ProblemSpec, residual_norm
+from .assembly import BoundaryData, ProblemSpec
 from .basis import MAX_DEGREE
 from .errors import ExprSyntaxError, GalbernError, ProblemFileError
 from .reduction import SixthOrderSpec, reduce
@@ -389,10 +389,9 @@ def _run_solve(args):
         converged = sol.converged
         replication = args.fixed_iters is not None
 
-    res = residual_norm(spec, sol)
     print(
         f"degree {sol.basis.degree}, {sol.iterations_used} iterations, "
-        f"converged={converged}, residual={res:.3e}",
+        f"converged={converged}, residual={sol.residual:.3e}",
         file=sys.stderr,
     )
 

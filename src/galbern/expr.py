@@ -249,7 +249,7 @@ def _pow(base, exponent, faults):
         for _ in range(abs(n)):
             out = out * base
         if n < 0:
-            _fault(faults, out == 0.0, "zero raised to a negative power", base)
+            _fault(faults, base == 0.0, "zero raised to a negative power", base)
             out = 1.0 / out
     else:
         out = np.power(base, exponent)

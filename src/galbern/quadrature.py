@@ -27,6 +27,14 @@ def _finite_real(x):
         return False
 
 
+def _finite_interval(ends):
+    """(a, b) as floats when ends is a pair of finite reals a < b, else None."""
+    ends = tuple(ends) if np.iterable(ends) else ()
+    if len(ends) == 2 and all(map(_finite_real, ends)) and float(ends[0]) < float(ends[1]):
+        return tuple(map(float, ends))
+    return None
+
+
 @dataclass(frozen=True)
 class QuadratureRule:
     """Nodes and weights on some interval (a, b).
@@ -72,7 +80,7 @@ def gauss_legendre(G, a, b):
         raise ValueError(f"quadrature order must be an integer >= 1, got {G!r}")
     if order > MAX_ORDER:
         raise QuadratureOrderError(f"order {order} exceeds the supported cap {MAX_ORDER}")
-    if not (_finite_real(a) and _finite_real(b) and float(b) > float(a)):
+    if _finite_interval((a, b)) is None:
         raise ValueError(f"interval must satisfy finite a < b, got ({a}, {b})")
 
     t, w = _reference_rule(order)

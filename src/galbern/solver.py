@@ -31,6 +31,7 @@ import numpy as np
 from .assembly import Solution, _defect, _grid_distance, _solution, assemble_linear
 from .basis import MAX_DEGREE
 from .errors import DivergenceError, NonConvergenceError, SingularSystemError, SpecValidationError
+from .quadrature import _finite_real
 
 # relative threshold below which a diagonal entry of R counts as singular
 _PIVOT_RTOL = 1e-13
@@ -61,8 +62,9 @@ class SolverConfig:
     max_degree: int = 12
 
     def __post_init__(self):
-        if not (0 < self.picard_tol < np.inf and 0 < self.degree_tol < np.inf):  # NaN fails too
-            raise ValueError("tolerances must be positive and finite")
+        for tol in (self.picard_tol, self.degree_tol):
+            if isinstance(tol, bool) or not (_finite_real(tol) and tol > 0):
+                raise ValueError("tolerances must be positive and finite")
         for name in ("max_picard_iters", "fixed_iters", "min_degree", "max_degree"):
             value = getattr(self, name)
             if value is None and name == "fixed_iters":
@@ -168,33 +170,34 @@ def picard_solve(spec, degree, config=None, offsets=None):
     Raises:
         NonConvergenceError: iteration budget exhausted.
         DivergenceError: an iterate distance at or above picard_tol was 10x
-            the one five iterations before, or the defect of an iterate or
-            the step from it stopped being finite.
+            the one five iterations before, or an iterate (the bootstrap
+            included) stopped being finite.
     """
     config = config or SolverConfig()
     system = assemble_linear(spec, degree, offsets)
-    factors = _qr_factor(system.matrix)
-    c = _qr_solve(system.matrix, factors, system.rhs)
     fixed = config.fixed_iters
     budget = 0 if spec.is_linear else config.max_picard_iters if fixed is None else fixed
     distances = []
-    for k in range(1, budget + 1):
-        # the lagged step to K^-1 (rhs + nonlinear load), as a defect correction
-        defect = _defect(system, c)
-        if not np.all(np.isfinite(defect)):
-            raise DivergenceError(k, "iterate became non-finite")
-        step = _qr_correct(factors, defect)
-        c = c + step
-        dist = _grid_distance(system, step)
-        if not dist < np.inf:  # the step overflowed; a NaN distance fails the test too
-            raise DivergenceError(k, "iterate became non-finite")
-        distances.append(dist)
-        if k == fixed or (dist < config.picard_tol and fixed is None):
-            break
-        before = distances[-1 - _DIVERGENCE_WINDOW] if k > _DIVERGENCE_WINDOW else np.inf
-        # past convergence the distances only jitter at round-off
-        if dist >= config.picard_tol and dist > _DIVERGENCE_FACTOR * before:
-            raise DivergenceError(k)
+    # an overflow surfaces as a non-finite iterate, refused below, not as a numpy warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        factors = _qr_factor(system.matrix)
+        c = _qr_solve(system.matrix, factors, system.rhs)
+        if not np.all(np.isfinite(c)):
+            raise DivergenceError(0, "iterate became non-finite")
+        for k in range(1, budget + 1):
+            # the lagged step to K^-1 (rhs + nonlinear load), as a defect correction
+            step = _qr_correct(factors, _defect(system, c))
+            c = c + step
+            dist = _grid_distance(system, step)
+            if not dist < np.inf:  # a non-finite defect or step; a NaN distance fails too
+                raise DivergenceError(k, "iterate became non-finite")
+            distances.append(dist)
+            if k == fixed or (dist < config.picard_tol and fixed is None):
+                break
+            before = distances[-1 - _DIVERGENCE_WINDOW] if k > _DIVERGENCE_WINDOW else np.inf
+            # past convergence the distances only jitter at round-off
+            if dist >= config.picard_tol and dist > _DIVERGENCE_FACTOR * before:
+                raise DivergenceError(k)
     converged = distances[-1] < config.picard_tol if distances else spec.is_linear
     if not converged and fixed is None:
         raise NonConvergenceError(budget, distances[-2:])

@@ -546,6 +546,16 @@ class TestSpecValidation:
         with pytest.raises(SpecValidationError, match="domain must be two finite reals"):
             ProblemSpec(domain=domain, bc_p=bc, bc_q=bc)
 
+    @pytest.mark.parametrize("field, value, what", [
+        ("f", "x", "forcing f"),
+        ("p_coeffs", (1,) * 6, "coefficient a1"),
+        ("m2", gb.expr.BinOp("*", gb.parse("p"), 2.0), "nonlinear term of equation q"),
+    ])
+    def test_fields_must_be_expressions(self, field, value, what):
+        bc = BoundaryData(0.0, 0.0, "a", 0.0)
+        with pytest.raises(SpecValidationError, match=f"{what} must be an expression"):
+            ProblemSpec(domain=(0.0, 1.0), bc_p=bc, bc_q=bc, **{field: value})
+
     def test_boundary_data_must_be_boundary_data(self):
         bc = BoundaryData(0.0, 0.0, "a", 0.0)
         with pytest.raises(SpecValidationError, match="BoundaryData required"):
@@ -645,13 +655,13 @@ class TestSolutionSystem:
         monkeypatch.setattr(_Workspace, "__init__", counting)
         return built
 
-    def test_only_the_solved_spec_object_reuses_the_system(self, monkeypatch):
+    def test_residual_norm_assembles_afresh_at_the_solution_offsets(self, monkeypatch):
         spec = preset("example2")
         sol = picard_solve(spec, 9)
         built = self._count_workspaces(monkeypatch)
-        expected = residual_norm(spec, sol)
+        expected = sol.residual
         assert built == []
-        # an equal spec loaded again is another object: a fresh assembly
+        # an equal spec loaded again: one fresh workspace, the same score
         again = preset("example2")
         assert again == spec and again is not spec
         assert residual_norm(again, sol) == expected
@@ -659,10 +669,30 @@ class TestSolutionSystem:
         # replaced offsets drop the link, and the new offsets are what is scored
         quadratic = AffineOffset((0.0, 0.0, 1.0))
         moved = replace(sol, offset_p=quadratic)
-        assert moved._system is None
+        assert moved._system is None and moved.residual is None
         score = residual_norm(spec, moved)
         assert len(built) == 2 and built[-1][2] == (quadratic, sol.offset_q)
         assert score != expected
+
+    def test_residual_builds_no_workspace_and_no_assembly(self, monkeypatch):
+        sol = picard_solve(preset("example4"), 12)
+        built = self._count_workspaces(monkeypatch)
+        assembled = self._count_assemblies(monkeypatch)
+        assert isinstance(sol.residual, float) and sol.residual <= 1e-8
+        assert built == [] and assembled == []
+
+    @pytest.mark.parametrize("name", PRESETS)
+    @pytest.mark.parametrize("degree", [3, 12, 30])
+    def test_residual_is_residual_norm_on_the_solved_system(self, name, degree):
+        spec = preset(name)
+        sol = picard_solve(spec, degree)
+        assert sol.residual == residual_norm(spec, replace(sol))
+
+    def test_hand_built_solution_has_no_residual(self):
+        spec = preset("example1")
+        sol = _manual_solution(BernsteinBasis(4, spec.domain), [0.1, 0.2, 0.3],
+                               [0.0, -0.1, 0.2], spec.bc_p, spec.bc_q)
+        assert sol.residual is None and residual_norm(spec, sol) > 0.0
 
     def test_hand_built_solution_builds_one_workspace_per_call(self, monkeypatch):
         spec = preset("example1")

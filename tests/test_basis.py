@@ -262,3 +262,7 @@ class TestValidation:
             BernsteinBasis(3, (2.0, -1.0))
         with pytest.raises(ValueError, match="interval must satisfy finite a < b"):
             BernsteinBasis(5, (0, 10**400))
+        with pytest.raises(ValueError, match="interval must satisfy finite a < b"):
+            BernsteinBasis(5, (0, 1, 2))
+        with pytest.raises(ValueError, match="interval must satisfy finite a < b"):
+            BernsteinBasis(5, 1.0)

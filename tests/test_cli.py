@@ -2,8 +2,10 @@ import math
 import operator
 import os
 import re
+import runpy
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -439,6 +441,18 @@ class TestRunSolve:
         assert status == 1
         assert "diverged" in capsys.readouterr().err
 
+    def test_overflowing_solve_is_one_error_line(self, tmp_path, capsys):
+        text = ("[domain]\na = 0\nb = 1e6\n\n[equation.p]\nf = 1e295\n\n[equation.q]\n\n"
+                "[bc.p]\nvalue_a = 0\nvalue_b = 0\nderiv_a = 0\n\n"
+                "[bc.q]\nvalue_a = 0\nvalue_b = 0\nderiv_a = 0\n")
+        path = write_problem(tmp_path, text, "overflow.prob")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            status = run(["solve", path, "--degree", "8"])
+        captured = capsys.readouterr()
+        assert status == 1 and captured.out == ""
+        assert captured.err == "error: iterate became non-finite (after 0 iterations)\n"
+
     @pytest.mark.parametrize("name, degree", [("example4", 25), ("example1", 27)])
     def test_replication_past_convergence_exits_zero(self, capsys, name, degree):
         status = run(["solve", "--preset", name, "--degree", str(degree), "--fixed-iters", "30"])
@@ -662,6 +676,19 @@ class TestRunReduce:
 
 
 class TestModuleEntryPoint:
+    def test_main_takes_an_argument_list(self, capsys):
+        assert gb.cli.main(["solve", "--preset", "example1", "--degree", "4"]) == 0
+        assert "p exact" in capsys.readouterr().out
+
+    def test_run_module_exits_with_the_status(self, monkeypatch, capsys):
+        argv = ["galbern", "solve", "--preset", "example3", "--degree", "5"]
+        monkeypatch.setattr(sys, "argv", argv)
+        monkeypatch.delitem(sys.modules, "galbern.__main__", raising=False)
+        with pytest.raises(SystemExit) as info:
+            runpy.run_module("galbern", run_name="__main__")
+        assert info.value.code == 0
+        assert "p exact" in capsys.readouterr().out
+
     def test_python_dash_m_galbern_runs_without_warnings(self):
         src = str(Path(__file__).resolve().parents[1] / "src")
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))

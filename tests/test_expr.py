@@ -78,6 +78,13 @@ class TestEvaluate:
             ev("1 / x", x=0.0)
         assert info.value.x == 0.0
 
+    def test_underflowing_negative_power_overflows_not_zero(self):
+        # x^2 underflows to 0 at 1e-200, but the base is not zero
+        with pytest.raises(ExprEvalError, match=r"1e-200 \^ -2.0 overflows"):
+            ev("x^-2", x=1e-200)
+        with pytest.raises(ExprEvalError, match="zero raised to a negative power"):
+            ev("x^-1", x=0.0)
+
     def test_log_of_negative(self):
         with pytest.raises(ExprEvalError):
             ev("ln(x)", x=-1.0)

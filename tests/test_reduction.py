@@ -103,6 +103,11 @@ class TestValidation:
                 bc_q=_bc(0.0, 0.0, "a", 0.0),
             )
 
+    def test_forcing_must_be_an_expression(self):
+        with pytest.raises(SpecValidationError, match="forcing must be an expression"):
+            SixthOrderSpec(domain=(0.0, 1.0), forcing="x",
+                           bc_p=_bc(0.0, 0.0, "a", 0.0), bc_q=_bc(0.0, 0.0, "a", 0.0))
+
     def test_boundary_data_required(self):
         with pytest.raises(SpecValidationError):
             SixthOrderSpec(domain=(0.0, 1.0), bc_p=_bc(0.0, 0.0, "a", 0.0))

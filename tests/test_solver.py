@@ -342,8 +342,8 @@ class TestPicardSolve:
 
     @pytest.mark.parametrize("degree", [4, 8])
     def test_overflowing_load_diverges_without_a_warning(self, degree):
-        # the load overflows on the second iterate; the defect is checked
-        # before it reaches the factors, where numpy would warn
+        # the load overflows on the second iterate; the non-finite step is
+        # refused, and the solve keeps numpy's overflow warnings to itself
         spec = preset("example1")
         blowup = replace(spec, m2=gb.parse("1e200 * p * p * p"))
         with warnings.catch_warnings():
@@ -361,6 +361,26 @@ class TestPicardSolve:
             with pytest.raises(DivergenceError, match="iterate became non-finite") as info:
                 picard_solve(spec, 8, SolverConfig(fixed_iters=1))
         assert info.value.iterations == 1
+
+    def test_overflowing_step_raises_without_a_warning(self):
+        # the same solve as above, with no np.errstate around it
+        bc = BoundaryData(0.0, 0.0, "a", 0.0)
+        spec = ProblemSpec(domain=(0.0, 1e6), m1=gb.parse("1e295"), bc_p=bc, bc_q=bc)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DivergenceError, match="iterate became non-finite") as info:
+                picard_solve(spec, 8, SolverConfig(fixed_iters=1))
+        assert info.value.iterations == 1
+
+    def test_overflowing_linear_bootstrap_raises(self):
+        # a linear problem returns its bootstrap: a non-finite one is refused
+        bc = BoundaryData(0.0, 0.0, "a", 0.0)
+        spec = ProblemSpec(domain=(0.0, 1e6), f=gb.parse("1e295"), bc_p=bc, bc_q=bc)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DivergenceError, match="iterate became non-finite") as info:
+                picard_solve(spec, 8)
+        assert info.value.iterations == 0
 
     def test_monotone_error_decay_across_degrees(self):
         # fully converge each degree so the comparison sees approximation
@@ -780,6 +800,10 @@ class TestSolverConfig:
             SolverConfig(picard_tol=float("inf"))
         with pytest.raises(ValueError, match="positive and finite"):
             SolverConfig(degree_tol=float("inf"))
+        with pytest.raises(ValueError, match="positive and finite"):
+            SolverConfig(picard_tol="1e-3")
+        with pytest.raises(ValueError, match="positive and finite"):
+            SolverConfig(picard_tol=True)
         with pytest.raises(ValueError, match="max_degree 31 exceeds the degree cap 30"):
             SolverConfig(max_degree=31)
         # counts must be integers: a float or bool would reach range() or the report
