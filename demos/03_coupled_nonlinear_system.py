@@ -17,7 +17,6 @@ from galbern import (
     assemble_linear,
     default_order,
     picard_solve,
-    solve_dense,
 )
 from galbern.cli import error_table, format_table, preset
 
@@ -29,11 +28,14 @@ degree = 3
 system = assemble_linear(spec, degree)
 print(f"discrete system is {system.matrix.shape[0]}x{system.matrix.shape[1]} "
       f"({system.size} coefficients per unknown, {default_order(degree)}-point Gauss rule)")
-print("matrix:")
+print("matrix, in the Shen basis the solve works in:")
 print(np.array_str(system.matrix, precision=4, suppress_small=True))
 
-bootstrap = solve_dense(system.matrix, system.rhs)
-print(f"\nbootstrap (nonlinear terms dropped): coefficients {bootstrap}")
+# the bootstrap drops the nonlinear terms: zero lagged iterations
+bootstrap = picard_solve(spec, degree, SolverConfig(fixed_iters=0))
+print("\nbootstrap (nonlinear terms dropped), interior Bernstein coefficients:")
+print(f"  p: {bootstrap.coeffs_p}")
+print(f"  q: {bootstrap.coeffs_q}")
 
 # ---- the full solve ------------------------------------------------------
 sol = picard_solve(spec, degree)

@@ -1,11 +1,11 @@
 """Galerkin solver for coupled third-order two-point boundary value problems.
 
-Trial functions are interior Bernstein polynomials over the problem domain;
-endpoint values ride on a separate offset polynomial, endpoint derivative
-data enters the weak form as natural boundary terms, and nonlinear terms are
-handled by lagged (Picard) iteration bootstrapped from the linearized
-system.  Sixth-order problems are supported through reduction to a coupled
-third-order pair via q = p'''.
+Trial functions span the interior Bernstein polynomials (solved for in Shen's
+Legendre basis of that space); endpoint values ride on an offset polynomial,
+endpoint derivative data enters the weak form as natural boundary terms, and
+nonlinear terms are handled by lagged (Picard) iteration bootstrapped from
+the linearized system.  Sixth-order problems are supported through reduction
+to a coupled third-order pair via q = p'''.
 """
 
 from .assembly import (

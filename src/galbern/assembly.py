@@ -10,17 +10,20 @@ both endpoint values of each function prescribed plus exactly one endpoint
 derivative per function.
 
 Each unknown is approximated as an offset polynomial carrying the endpoint
-values plus a combination of interior Bernstein members,
+values plus a polynomial of degree <= n vanishing at both ends,
 
-    u~ = theta_u + sum_j c_j B_j,
+    u~ = theta_u + sum_k c_k phi_k,
 
-and the weighted residual against each interior member B_i is set to zero.
-The offset is one more trial column, whose coefficient is fixed at 1: every
+and the weighted residual against each phi_i is set to zero.  The basis is
+Shen's, phi_k = (L_k - L_{k+2}) / sqrt(4k + 6), k = 0..n-2, with Legendre L_k
+mapped to [a, b] (Shen 1994): it keeps cond(K) near 2e2 at n = 30.  A Solution
+reports interior Bernstein coefficients, mapped exactly (Farouki 2000).  The
+offset is one more trial column, whose coefficient is fixed at 1: every
 Galerkin term is a test table times a trial table, and the offset's column,
 known data, moves to the load.  The third-derivative term is integrated by
-parts twice (the endpoint values of B_i kill the first boundary term):
+parts twice (the endpoint values of phi_i kill the first boundary term):
 
-    int B_i u''' dx = -[B_i' u']_b + [B_i' u']_a + int B_i'' u' dx.
+    int phi_i u''' dx = -[phi_i' u']_b + [phi_i' u']_a + int phi_i'' u' dx.
 
 At an end where u' is prescribed, the bracket is known data and moves to the
 right-hand side; at the other (natural) end, u' is replaced by the trial
@@ -35,8 +38,10 @@ exact for every polynomial integrand assembled here, and a uniform grid of
 101 points.  Their basis tables depend on the interval only through the
 factor (b - a)^-k of the k-th derivative, so they are tabulated once per
 degree on [0, 1], cached read-only, and scaled per solve (exactly on [0, 1]).
+_reference_tables is the one place that knows the basis.
 """
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -100,6 +105,10 @@ def _checked_domain(domain):
     interval = _finite_interval(domain)
     if interval is None:
         raise SpecValidationError(f"domain must be two finite reals a < b, got {domain!r}")
+    try:  # the largest factor by which a solve scales its tables
+        (interval[1] - interval[0]) ** -2
+    except OverflowError:
+        raise SpecValidationError(f"domain {domain!r} is too short: (b - a)^-2 overflows") from None
     return interval
 
 
@@ -231,11 +240,12 @@ class AssembledSystem:
 
 @dataclass(frozen=True)
 class Solution:
-    """Offsets plus interior coefficients for the pair of unknowns.
+    """Offsets plus interior Bernstein coefficients for the pair of unknowns.
 
-    A solution from picard_solve also has grid_values, p and q as evaluate
-    gives them on linspace(a, b, 101), and keeps the system it was solved on,
-    where residual scores it; hand-built or replaced ones have none (None).
+    A solution from picard_solve also has grid_values, p and q on
+    linspace(a, b, 101) (evaluate's to round-off), and keeps the system it
+    was solved on, where residual scores it; hand-built or replaced ones
+    have none (None).
     """
 
     basis: BernsteinBasis
@@ -286,28 +296,44 @@ class Solution:
 
 @lru_cache(maxsize=MAX_DEGREE)  # one entry per degree
 def _reference_tables(n):
-    """Read-only node tables (orders 0-2), end derivatives and grid table of
-    degree n on [0, 1], from one recurrence pass over nodes, ends and grid."""
+    """Read-only node tables (orders 0-2), end derivatives and grid table of the
+    Shen basis of degree n on [0, 1], from one pass of the Legendre recurrence in
+    t = 2x - 1 over nodes, ends and grid, and to_bern, whose row k holds the
+    interior Bernstein coefficients of phi_k."""
     G = default_order(n)
     nodes = gauss_legendre(G, 0.0, 1.0).points
-    points = np.concatenate([nodes, (0.0, 1.0), np.linspace(0.0, 1.0, _GRID_POINTS)])
-    stacked = BernsteinBasis(n, (0.0, 1.0)).interior_table(points, (0, 1, 2))
-    # compact copies: views would keep the whole stacked array alive
+    t = 2.0 * np.concatenate([nodes, (0.0, 1.0), np.linspace(0.0, 1.0, _GRID_POINTS)]) - 1.0
+    L, dL = np.zeros((n + 1, t.size)), np.zeros((n + 1, t.size))
+    L[0], L[1], dL[1] = 1.0, t, 1.0
+    for k in range(1, n):
+        L[k + 1] = ((2 * k + 1) * t * L[k] - k * L[k - 1]) / (k + 1)
+        dL[k + 1] = dL[k - 1] + (2 * k + 1) * L[k]
+    # L_{k+2}' - L_k' = (2k + 3) L_{k+1}, so phi_k' = -sqrt(4k + 6) L_{k+1} in x
+    # (dt/dx = 2), and phi_k'' = -2 sqrt(4k + 6) L_{k+1}'
+    scale = np.sqrt(4.0 * np.arange(n - 1) + 6.0)[:, None]
+    stacked = ((L[:-2] - L[2:]) / scale, -scale * L[1:-1], -2.0 * scale * dL[1:-1])
+    # compact copies: views would keep the whole stacked arrays alive
     tables = tuple(np.ascontiguousarray(table[:, :G]) for table in stacked)
     ends = (stacked[1][:, G].copy(), stacked[1][:, G + 1].copy())
     grid_table = np.ascontiguousarray(stacked[0][:, G + 2 :])
-    for array in (*tables, *ends, grid_table):
+    # L_k(2x - 1) = sum_j lam[j, k] B_j / C(n, j), with lam[j, k] the sum over i of
+    # (-1)^(k+i) C(k, i)^2 C(n-k, j-i) (Farouki 2000); exact in int64 to degree 30
+    comb = np.array([[math.comb(a, b) for b in range(n + 1)] for a in range(n + 1)], np.int64)
+    j, k, i = np.ix_(*3 * [np.arange(n + 1)])
+    lam = ((-1) ** (k + i) * comb[k, i] ** 2 * comb[n - k, np.maximum(j - i, 0)] * (j >= i)).sum(2)
+    to_bern = ((lam[1:-1, :-2] - lam[1:-1, 2:]) / comb[n, 1:-1, None] / scale.T).T.copy()
+    for array in (*tables, *ends, grid_table, to_bern):
         array.setflags(write=False)
-    return tables, ends, grid_table
+    return tables, ends, grid_table, to_bern
 
 
 class _Workspace:
     """One solve's discretization, shared by every assembly pass over it.
 
-    Holds the degree-n basis, the Gauss nodes and weights, the interior
+    Holds the Solution's Bernstein basis, the Gauss nodes and weights, the
     members' orders 0-2 at the nodes (the test tables) and first derivatives
-    d1 at both ends (the cached [0, 1] tables scaled by (b - a)^-k), the
-    evaluation grid and the members on it, and both offsets ('p', 'q').
+    d1 at both ends (the cached [0, 1] tables scaled by (b - a)^-k), the grid
+    and the members on it, to_bern and both offsets ('p', 'q').
     The trial table trial[u][k], (m+1) x G, appends theta_u^(k) at the nodes
     to the test table, a view of trial['p'][k] without that row; trial_d1[u]
     appends theta_u' to d1 at u's natural end.
@@ -322,7 +348,7 @@ class _Workspace:
         self.theta = dict(zip("pq", _offset_or_default(offsets, spec)))
         self.xs, self.w = rule.points, rule.weights
         self.grid = np.linspace(a, b, _GRID_POINTS)
-        tables, ends, self.grid_table = _reference_tables(n)
+        tables, ends, self.grid_table, self.to_bern = _reference_tables(n)
         # exact on [0, 1], where the tables keep their bytes
         scaled = [table * (b - a) ** -k for k, table in enumerate(tables)]
         self.d1 = dict(zip("ab", (d / (b - a) for d in ends)))
@@ -346,7 +372,7 @@ def _equation_blocks(ws, coeffs, forcing, bc, u, v):
     P0, _, P2 = ws.tables
     w = ws.w
     state = ex.PointState(x=ws.xs)
-    # (test table, unknown, trial order): B_i'' u' from u''', c1..c6 on u'', u', u, v'', v', v
+    # (test table, unknown, trial order): phi_i'' u' from u''', c1..c6 on u'', u', u, v'', v', v
     terms = [(P2 * w, u, 1)]
     for k, coeff in enumerate(coeffs):
         if coeff is not None:
@@ -378,9 +404,9 @@ def assemble_linear(spec, degree, offsets=None):
         offsets: optional (theta_p, theta_q) overriding the default linear
             interpolants; each must interpolate its endpoint values.
     """
-    ws = _Workspace(spec, degree, offsets)
-    # coefficient blowups surface via the finiteness check below, not warnings
+    # blowups of scaled tables and coefficients surface via the finiteness check below
     with np.errstate(over="ignore", invalid="ignore"):
+        ws = _Workspace(spec, degree, offsets)
         A, H, F = _equation_blocks(ws, spec.p_coeffs, spec.f, spec.bc_p, "p", "q")
         C, D, G = _equation_blocks(ws, spec.q_coeffs, spec.g, spec.bc_q, "q", "p")
     K = np.block([[A, H], [D, C]])
@@ -419,8 +445,13 @@ def _defect(system, c):
     return system.rhs + _nonlinear_load(system._workspace, c) - system.matrix @ c
 
 
+def _system_coefficients(ws, sol):
+    """sol's Bernstein coefficients in the basis of ws, p block then q."""
+    return np.linalg.solve(ws.to_bern.T, np.array([sol.coeffs_p, sol.coeffs_q]).T).T.ravel()
+
+
 def _sup_defect(system, sol):
-    return float(np.max(np.abs(_defect(system, np.concatenate([sol.coeffs_p, sol.coeffs_q])))))
+    return float(np.max(np.abs(_defect(system, _system_coefficients(system._workspace, sol)))))
 
 
 def _grid_distance(system, step):
@@ -432,12 +463,11 @@ def _solution(system, c, iterations_used, converged):
     """The Solution at coefficient vector c, with its grid values and its system."""
     ws = system._workspace
     coeffs = c.reshape(2, ws.m)
-    # evaluate's product; bit for bit on [0, 1], where the tables are too
     grid_values = np.array(
         [ws.theta[u].value(ws.grid) + cu @ ws.grid_table for u, cu in zip("pq", coeffs)]
     )
-    sol = Solution(ws.basis, ws.theta["p"], ws.theta["q"], *coeffs, iterations_used, converged,
-                   grid_values)
+    sol = Solution(ws.basis, ws.theta["p"], ws.theta["q"], *(coeffs @ ws.to_bern),
+                   iterations_used, converged, grid_values)
     object.__setattr__(sol, "_system", system)
     return sol
 
@@ -453,14 +483,14 @@ def assemble_nonlinear_rhs(spec, current):
     """Load-vector contribution of the nonlinear terms at a given solution.
 
     Entry i of the block for an equation with nonlinear term M is
-    -int M(x, p~, p~', p~'', q~, q~', q~'') B_i dx, with p~, q~ the full
+    -int M(x, p~, p~', p~'', q~, q~', q~'') phi_i dx, with p~, q~ the full
     trial functions of `current` (offsets included), at current's degree.
     Zero blocks when the corresponding term is absent.  K is never
     assembled; a current on another interval raises SpecValidationError.
     """
     _check_interval(spec, current)
     ws = _Workspace(spec, current.basis.degree, (current.offset_p, current.offset_q))
-    return _nonlinear_load(ws, np.concatenate([current.coeffs_p, current.coeffs_q]))
+    return _nonlinear_load(ws, _system_coefficients(ws, current))
 
 
 def residual_norm(spec, sol):

@@ -4,10 +4,10 @@ The degree-n basis over [a, b] is
 
     B_i(x) = C(n, i) (x - a)^i (b - x)^(n-i) / (b - a)^n,   i = 0..n.
 
-The interior members i = 1..n-1 vanish at both endpoints, which makes them
-the trial space for two-point problems whose endpoint values are carried by
-a separate offset polynomial.  All members are tabulated at once by the
-degree recurrence
+The interior members i = 1..n-1 vanish at both endpoints and span the trial
+space of two-point problems whose endpoint values are carried by a separate
+offset polynomial; solutions report their coefficients in these members.
+All members are tabulated at once by the degree recurrence
 
     B_{i,m} = s B_{i,m-1} + t B_{i-1,m-1},   t = (x-a)/(b-a), s = (b-x)/(b-a),
 
@@ -15,7 +15,7 @@ and derivatives follow exactly from the identity
 
     B'_{i,m} = m/(b-a) (B_{i-1,m-1} - B_{i,m-1})
 
-(never finite differences), so Galerkin integrands built from them stay
+(never finite differences), so values and derivatives of a solution are
 exact polynomials.
 """
 
@@ -133,8 +133,8 @@ class BernsteinBasis:
         Returns shape (n-1, len(x)); row j-1 holds the order-th derivative of
         member j.  order may also be a tuple of orders, which returns the
         tables stacked on a leading axis, all from one recurrence pass.  Used
-        by the assembly routines, which need all members at all quadrature
-        nodes at once.  An order outside 0..n raises ValueError.
+        by Solution.evaluate, which needs all members at all its points at
+        once.  An order outside 0..n raises ValueError.
         """
         orders = order if isinstance(order, tuple) else (order,)
         if not all(k in range(self.degree + 1) for k in orders):

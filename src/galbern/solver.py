@@ -6,21 +6,12 @@ the layout of the trial space is known to assembly alone.  A solve proceeds
 in two stages.  The bootstrap drops the nonlinear terms and solves the purely
 linear system once; every later iteration re-solves the same matrix against
 the linear load plus the nonlinear load evaluated on the previous iterate.
-The matrix is factored once, K = QR, by LAPACK's Householder QR; a negligible
-diagonal entry of R is refused as a singular system.  R is then eliminated
-once, to form R^-1, and every application of K^-1 is the same correction of a
-defect d: y = Q^T d and x = R^-1 y, refined once as x + R^-1 (y - R x).  The
-bootstrap applies it to the linear load and once more to its residual against
-K; each iteration applies it to the defect of the current iterate after one
-vectorized expression evaluation per nonlinear term.  The inverse is of R,
-not of K: an explicit K^-1 at cond(K) ~ 2e15 gives I - K^-1 K a spectral
-radius above 1 and changes iteration counts, while the triangular inverse is
-as accurate as substitution (Du Croz and Higham 1992) once its product is
-refined against R.  A product with an explicit inverse is not backward
-stable, so without that refinement the fifth iterate of example2 at degree 30
-is 6.6e-10 off on the grid, against 9e-13 for substitution.  Successive
-iterates are compared in the sup norm on a uniform evaluation grid, and the
-same measure compares solutions of consecutive degrees in a refinement sweep.
+The matrix is checked once for singularity, by the R diagonal of its QR
+factorization, and inverted once: the bootstrap is K^-1 rhs, and each
+iteration adds K^-1 times the defect of the current iterate.  Assembly's
+basis keeps cond(K) near 2e2 up to degree 30, so the explicit inverse costs
+no accuracy.  Successive iterates are compared in the sup norm on a uniform
+evaluation grid, as are solutions of consecutive degrees in a sweep.
 """
 
 from dataclasses import dataclass
@@ -94,52 +85,25 @@ class DegreeHistory:
     converged: bool
 
 
-def _qr_factor(K):
-    """Householder QR factors of the square matrix K, and R^-1.
-
-    Returns (Q, R, Rinv), with K = Q @ R, R upper triangular and Rinv its
-    inverse, formed by the one elimination of R that a solve makes.
-
-    Raises:
-        SingularSystemError: the first diagonal entry of R below
-            1e-13 * max|K|, by its index and magnitude; no inverse is formed.
-    """
-    Q, R = np.linalg.qr(K)
-    diag = np.abs(np.diagonal(R))
+def _check_nonsingular(K):
+    """Raise SingularSystemError at the first diagonal entry of R in K = QR
+    below 1e-13 * max|K|, by its index and magnitude."""
+    diag = np.abs(np.diagonal(np.linalg.qr(K, mode="r")))
     threshold = _PIVOT_RTOL * max(np.max(np.abs(K)), np.finfo(float).tiny)
     small = np.flatnonzero(diag < threshold)
     if small.size:
         raise SingularSystemError(int(small[0]), diag[small[0]])
-    return Q, R, np.linalg.solve(R, np.eye(len(R)))
-
-
-def _qr_correct(factors, d):
-    """K^-1 d as R^-1 (Q^T d), the product refined once against R."""
-    Q, R, Rinv = factors
-    y = Q.T @ d
-    x = Rinv @ y
-    x += Rinv @ (y - R @ x)
-    return x
-
-
-def _qr_solve(K, factors, b):
-    """Solve K x = b with the factors of _qr_factor plus one refinement against K."""
-    x = _qr_correct(factors, b)
-    x += _qr_correct(factors, b - K @ x)
-    return x
 
 
 def solve_dense(K, rhs):
-    """Solve K x = rhs by Householder QR factorization, K = QR.
-
-    R is eliminated once to form R^-1; the solve is R^-1 Q^T rhs, refined
-    once against R and then once more against K, which keeps the residual
-    below 1e-10 * (1 + max|rhs|) for the well-scaled systems assembled here.
+    """Solve K x = rhs by LU factorization with partial pivoting.
 
     Raises:
         ValueError: K and rhs are not a non-empty square matrix and a
             matching vector, or hold a non-finite entry.
-        SingularSystemError: a diagonal entry of R fell below 1e-13 * max|K|.
+        SingularSystemError: a diagonal entry of R in K = QR fell below
+            1e-13 * max|K|.
+        DivergenceError: the solution overflowed.
     """
     A0 = np.asarray(K, dtype=float)
     b0 = np.asarray(rhs, dtype=float)
@@ -152,7 +116,12 @@ def solve_dense(K, rhs):
     if not np.all(np.isfinite(b0)):
         (i,) = np.argwhere(~np.isfinite(b0))[0]
         raise ValueError(f"non-finite right-hand side entry at row {i}")
-    return _qr_solve(A0, _qr_factor(A0), b0)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+        _check_nonsingular(A0)
+        x = np.linalg.solve(A0, b0)
+    if not np.all(np.isfinite(x)):
+        raise DivergenceError(0, "iterate became non-finite")
+    return x
 
 
 def picard_solve(spec, degree, config=None, offsets=None):
@@ -180,13 +149,14 @@ def picard_solve(spec, degree, config=None, offsets=None):
     distances = []
     # an overflow surfaces as a non-finite iterate, refused below, not as a numpy warning
     with np.errstate(over="ignore", invalid="ignore"):
-        factors = _qr_factor(system.matrix)
-        c = _qr_solve(system.matrix, factors, system.rhs)
+        _check_nonsingular(system.matrix)
+        Kinv = np.linalg.inv(system.matrix)
+        c = Kinv @ system.rhs
         if not np.all(np.isfinite(c)):
             raise DivergenceError(0, "iterate became non-finite")
         for k in range(1, budget + 1):
             # the lagged step to K^-1 (rhs + nonlinear load), as a defect correction
-            step = _qr_correct(factors, _defect(system, c))
+            step = Kinv @ _defect(system, c)
             c = c + step
             dist = _grid_distance(system, step)
             if not dist < np.inf:  # a non-finite defect or step; a NaN distance fails too

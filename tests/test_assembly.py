@@ -1,8 +1,11 @@
+import re
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 import sympy as sp
+from numpy.polynomial import Legendre
 from numpy.polynomial import polynomial as P
 
 import galbern as gb
@@ -35,8 +38,28 @@ def make_rule(degree, domain=(0.0, 1.0)):
 X = sp.Symbol("x")
 
 
-def _sym_members(n):
+def _sym_bernstein(n):
     return [sp.binomial(n, i) * X**i * (1 - X) ** (n - i) for i in range(n + 1)]
+
+
+def _sym_shen(n):
+    # phi_k = (L_k - L_{k+2}) / sqrt(4k + 6) in t = 2x - 1, k = 0..n-2
+    t = 2 * X - 1
+    return [(sp.legendre(k, t) - sp.legendre(k + 2, t)) / sp.sqrt(4 * k + 6) for k in range(n - 1)]
+
+
+def shen_table(n, x, order=0, domain=(0.0, 1.0)):
+    """phi_k^(order) at x, k = 0..n-2, by numpy's Legendre series on the domain."""
+    L = [Legendre.basis(k, domain=list(domain)) for k in range(n + 1)]
+    return np.array(
+        [((L[k] - L[k + 2]) / np.sqrt(4 * k + 6)).deriv(order)(x) for k in range(n - 1)]
+    )
+
+
+def _integrate01(e):
+    """int_0^1 of the polynomial e, by its exact antiderivative."""
+    antiderivative = sp.Poly(e, X).integrate()
+    return antiderivative.eval(1) - antiderivative.eval(0)
 
 
 def _sym_offset(bc):
@@ -44,8 +67,7 @@ def _sym_offset(bc):
 
 
 def _sym_equation(n, coeffs, forcing, bc, theta_own, theta_cross):
-    phi = _sym_members(n)
-    interior = range(1, n)
+    phi = _sym_shen(n)
     c1, c2, c3, c4, c5, c6 = [sp.sympify(c) for c in coeffs]
     own = sp.zeros(n - 1, n - 1)
     cross = sp.zeros(n - 1, n - 1)
@@ -54,20 +76,18 @@ def _sym_equation(n, coeffs, forcing, bc, theta_own, theta_cross):
     s = -1 if e_nat == "b" else 1
     x_nat = 1 if e_nat == "b" else 0
     x_pre = 0 if e_nat == "b" else 1
-    for row, i in enumerate(interior):
-        dphi_i = sp.diff(phi[i], X)
-        for col, j in enumerate(interior):
-            own[row, col] = sp.integrate(
-                sp.diff(phi[i], X, 2) * sp.diff(phi[j], X)
-                + (c1 * sp.diff(phi[j], X, 2) + c2 * sp.diff(phi[j], X) + c3 * phi[j]) * phi[i],
-                (X, 0, 1),
-            ) + s * dphi_i.subs(X, x_nat) * sp.diff(phi[j], X).subs(X, x_nat)
-            cross[row, col] = sp.integrate(
-                (c4 * sp.diff(phi[j], X, 2) + c5 * sp.diff(phi[j], X) + c6 * phi[j]) * phi[i],
-                (X, 0, 1),
+    for row, phi_i in enumerate(phi):
+        dphi_i = sp.diff(phi_i, X)
+        for col, phi_j in enumerate(phi):
+            own[row, col] = _integrate01(
+                sp.diff(phi_i, X, 2) * sp.diff(phi_j, X)
+                + (c1 * sp.diff(phi_j, X, 2) + c2 * sp.diff(phi_j, X) + c3 * phi_j) * phi_i
+            ) + s * dphi_i.subs(X, x_nat) * sp.diff(phi_j, X).subs(X, x_nat)
+            cross[row, col] = _integrate01(
+                (c4 * sp.diff(phi_j, X, 2) + c5 * sp.diff(phi_j, X) + c6 * phi_j) * phi_i
             )
-        load = sp.integrate(sp.sympify(forcing) * phi[i], (X, 0, 1))
-        load -= sp.integrate(
+        load = _integrate01(sp.sympify(forcing) * phi_i)
+        load -= _integrate01(
             (
                 c1 * sp.diff(theta_own, X, 2)
                 + c2 * sp.diff(theta_own, X)
@@ -76,10 +96,9 @@ def _sym_equation(n, coeffs, forcing, bc, theta_own, theta_cross):
                 + c5 * sp.diff(theta_cross, X)
                 + c6 * theta_cross
             )
-            * phi[i],
-            (X, 0, 1),
+            * phi_i
         )
-        load -= sp.integrate(sp.diff(phi[i], X, 2) * sp.diff(theta_own, X), (X, 0, 1))
+        load -= _integrate01(sp.diff(phi_i, X, 2) * sp.diff(theta_own, X))
         bracket = dphi_i * bc.deriv_value
         load += bracket.subs(X, x_pre) * (1 if bc.deriv_end == "b" else -1)
         load -= s * dphi_i.subs(X, x_nat) * sp.diff(theta_own, X).subs(X, x_nat)
@@ -157,10 +176,11 @@ class TestAssembleLinear:
     def test_example1_corner_entries(self):
         spec = preset("example1")
         system = assemble_linear(spec, 3)
-        # own-p entry (1,1): int(B1' B1'' + 2 B1' B1) - B1'(1)^2 = -9/2 + 0 - 0
-        assert system.matrix[0, 0] == pytest.approx(-4.5, abs=1e-12)
-        # cross entry (1,1): int x B1^2 dx = 9 * Beta(4, 5) = 9/280
-        assert system.matrix[0, 2] == pytest.approx(9.0 / 280.0, rel=1e-12)
+        # phi_0 = sqrt(6) x (1 - x); own-p entry (0,0):
+        # int(phi_0'' phi_0' + 2 phi_0' phi_0) - phi_0'(1)^2 = 0 + 0 - 6
+        assert system.matrix[0, 0] == pytest.approx(-6.0, abs=1e-12)
+        # cross entry (0,0): int x phi_0^2 dx = 6 * Beta(4, 3) = 1/10
+        assert system.matrix[0, 2] == pytest.approx(0.1, rel=1e-12)
 
     def test_example1_against_symbolic_oracle(self):
         spec = preset("example1")
@@ -228,23 +248,20 @@ class TestAssembleLinear:
         assert np.all(system.matrix[m:, :m] == 0.0)
 
     def test_natural_end_rank_one_term(self):
-        # the own block is the pure integral part plus -B_i'(1) B_j'(1)
+        # the own block is the pure integral part plus -phi_i'(1) phi_j'(1)
         spec = preset("example1")
         n = 3
-        basis = BernsteinBasis(n, (0.0, 1.0))
         rule = make_rule(n)
         system = assemble_linear(spec, n)
-        d1b = np.array([basis.eval_deriv(j, 1.0, 1) for j in basis.interior_indices()])
-        for row, i in enumerate(basis.interior_indices()):
-            for col, j in enumerate(basis.interior_indices()):
+        d1b = shen_table(n, 1.0, 1)
+        for i in range(n - 1):
+            for j in range(n - 1):
                 integral = gb.integrate(
-                    lambda x: basis.eval_deriv(i, x, 2) * basis.eval_deriv(j, x, 1)
-                    + 2.0 * basis.eval_deriv(j, x, 1) * basis.eval(i, x),
+                    lambda x: shen_table(n, x, 2)[i] * shen_table(n, x, 1)[j]
+                    + 2.0 * shen_table(n, x, 1)[j] * shen_table(n, x)[i],
                     rule,
                 )
-                assert system.matrix[row, col] == pytest.approx(
-                    integral - d1b[row] * d1b[col], abs=1e-12
-                )
+                assert system.matrix[i, j] == pytest.approx(integral - d1b[i] * d1b[j], abs=1e-12)
 
     def test_non_finite_coefficient_reported(self):
         spec = ProblemSpec(
@@ -317,11 +334,11 @@ class TestNonlinearRhs:
         )
         vec = assemble_nonlinear_rhs(spec, sol)
 
-        phi = _sym_members(n)
-        p2 = sum(c * sp.diff(phi[j], X, 2) for c, j in zip(coeffs_p, (1, 2)))
-        q2 = sum(c * sp.diff(phi[j], X, 2) for c, j in zip(coeffs_q, (1, 2)))
-        for row, i in enumerate((1, 2)):
-            expected = -sp.integrate(sp.Rational(1, 6) * p2 * q2 * phi[i], (X, 0, 1))
+        bern = _sym_bernstein(n)
+        p2 = sum(c * sp.diff(bern[j], X, 2) for c, j in zip(coeffs_p, (1, 2)))
+        q2 = sum(c * sp.diff(bern[j], X, 2) for c, j in zip(coeffs_q, (1, 2)))
+        for row, phi_i in enumerate(_sym_shen(n)):
+            expected = -sp.integrate(sp.Rational(1, 6) * p2 * q2 * phi_i, (X, 0, 1))
             assert vec[2 + row] == pytest.approx(float(expected), rel=1e-12)
 
     def test_offsets_enter_the_trial_functions(self):
@@ -341,19 +358,50 @@ class TestNonlinearRhs:
             iterations_used=0, converged=False,
         )
         vec2 = assemble_nonlinear_rhs(spec, sol2)
-        phi = _sym_members(3)
-        for row, i in enumerate((1, 2)):
-            expected = -sp.integrate(2 * 2 * X * phi[i], (X, 0, 1))  # p''q' = 2 * 2x
+        for row, phi_i in enumerate(_sym_shen(3)):
+            expected = -sp.integrate(2 * 2 * X * phi_i, (X, 0, 1))  # p''q' = 2 * 2x
             assert vec2[row] == pytest.approx(float(expected), rel=1e-12)
 
 
+def assert_close_to(got, expected):
+    assert got.shape == expected.shape
+    assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+
+class TestShenBasis:
+    """The solve's basis spans the Bernstein interior space and conditions K well."""
+
+    @pytest.mark.parametrize("name", PRESETS)
+    def test_condition_number_stays_small(self, name):
+        spec = preset(name)
+        conds = [np.linalg.cond(assemble_linear(spec, n).matrix) for n in range(3, 31)]
+        assert max(conds) <= 1e3, conds
+
+    def test_map_to_bernstein_is_exact_at_degree_5(self):
+        # b_j = sum_{i <= j} C(j, i) / C(n, i) a_i for monomial coefficients a_i
+        n = 5
+        to_bern = _reference_tables(n)[3]
+        assert to_bern.shape == (n - 1, n - 1)
+        for k, phi in enumerate(_sym_shen(n)):
+            a = [sp.Poly(phi, X).coeff_monomial(X**i) for i in range(n + 1)]
+            exact = [sum(sp.binomial(j, i) / sp.binomial(n, i) * a[i] for i in range(j + 1))
+                     for j in range(n + 1)]
+            assert exact[0] == 0 and sp.simplify(exact[n]) == 0
+            assert np.max(np.abs(to_bern[k] - np.array(exact[1:n], dtype=float))) <= 1e-15
+
+    @pytest.mark.parametrize("n", range(3, 13))
+    def test_map_reproduces_the_grid_table(self, n):
+        _, _, grid_table, to_bern = _reference_tables(n)
+        bernstein = BernsteinBasis(n, (0.0, 1.0)).interior_table(np.linspace(0.0, 1.0, 101))
+        assert np.max(np.abs(to_bern @ bernstein - grid_table)) <= 1e-13
+
+
 class TestWorkspace:
-    """The one-pass tables must equal separate interior_table calls."""
+    """The one-pass tables must equal a direct tabulation of the basis."""
 
     def test_tables_equal_separate_calls(self):
         spec = preset("example4")
         a, b = spec.domain
-        basis = BernsteinBasis(30, (a, b))
         rule = make_rule(30, (a, b))
         grid = np.linspace(a, b, 101)
         ws = _Workspace(spec, 30)
@@ -362,12 +410,12 @@ class TestWorkspace:
         assert ws.grid.tobytes() == grid.tobytes()
         for order, table in enumerate(ws.tables):
             assert table.flags.c_contiguous
-            assert table.tobytes() == basis.interior_table(rule.points, order).tobytes()
-        ends = basis.interior_table(spec.domain, 1)
-        assert ws.d1["a"].tobytes() == ends[:, 0].tobytes()
-        assert ws.d1["b"].tobytes() == ends[:, 1].tobytes()
+            assert_close_to(table, shen_table(30, rule.points, order))
+        ends = shen_table(30, np.array(spec.domain), 1)
+        assert_close_to(ws.d1["a"], ends[:, 0])
+        assert_close_to(ws.d1["b"], ends[:, 1])
         assert ws.grid_table.flags.c_contiguous
-        assert ws.grid_table.tobytes() == basis.interior_table(grid).tobytes()
+        assert_close_to(ws.grid_table, shen_table(30, grid))
 
     @pytest.mark.parametrize("domain", [(0.0, 1.0), (-1.3, 1.7)])
     def test_trial_tables_append_the_offset(self, domain):
@@ -395,16 +443,14 @@ class TestReferenceTables:
 
     @pytest.mark.parametrize("degree", [3, 12, 30])
     def test_scaled_tables_match_direct_calls(self, degree):
-        basis = BernsteinBasis(degree, self.DOMAIN)
         rule = make_rule(degree, self.DOMAIN)
         grid = np.linspace(*self.DOMAIN, 101)
         ws = _Workspace(_bare_spec(self.DOMAIN), degree)
-        direct = list(basis.interior_table(rule.points, (0, 1, 2)))
-        ends = basis.interior_table(self.DOMAIN, 1)
-        direct += [ends[:, 0], ends[:, 1], basis.interior_table(grid)]
+        direct = [shen_table(degree, rule.points, order, self.DOMAIN) for order in (0, 1, 2)]
+        ends = shen_table(degree, np.array(self.DOMAIN), 1, self.DOMAIN)
+        direct += [ends[:, 0], ends[:, 1], shen_table(degree, grid, 0, self.DOMAIN)]
         for got, expected in zip([*ws.tables, ws.d1["a"], ws.d1["b"], ws.grid_table], direct):
-            assert got.shape == expected.shape
-            assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
+            assert_close_to(got, expected)
 
     def test_domains_of_one_degree_share_one_read_only_entry(self):
         _reference_tables.cache_clear()
@@ -412,8 +458,8 @@ class TestReferenceTables:
             _Workspace(_bare_spec(domain), 12)
         info = _reference_tables.cache_info()
         assert (info.misses, info.hits) == (1, 2)
-        tables, ends, grid_table = _reference_tables(12)
-        for array in (*tables, *ends, grid_table):
+        tables, ends, grid_table, to_bern = _reference_tables(12)
+        for array in (*tables, *ends, grid_table, to_bern):
             assert not array.flags.writeable
 
 
@@ -495,8 +541,8 @@ class TestOffsetInvariance:
     @pytest.mark.parametrize("degree", [3, 5, 12, 30])
     def test_discrete_offset_invariance(self, name, degree):
         # theta + alpha (t^2 - t), t = (x - a)/(b - a), spans the same trial
-        # set: t^2 - t = sum_i d_i B_i, so c_lin = c_quad + alpha d and
-        # rhs_lin - rhs_quad = K [alpha d; beta d]
+        # set: t^2 - t = -phi_0 / sqrt(6) = sum_i d_i phi_i, so
+        # c_lin = c_quad + alpha d and rhs_lin - rhs_quad = K [alpha d; beta d]
         spec = preset(name)
         a, b = spec.domain
         h = b - a
@@ -513,8 +559,8 @@ class TestOffsetInvariance:
         lin = assemble_linear(spec, degree, linear)
         quad = assemble_linear(spec, degree, quadratic)
         assert np.array_equal(lin.matrix, quad.matrix)
-        i = np.arange(1, degree)
-        d = i * (i - 1) / (degree * (degree - 1)) - i / degree
+        d = np.zeros(degree - 1)
+        d[0] = -1 / np.sqrt(6)
         K = lin.matrix
         shift = K @ np.concatenate([alpha * d, beta * d])
         bound = 1e-13 * np.max(np.abs(K)) * np.max(np.abs(d)) * max(abs(alpha), abs(beta))
@@ -545,6 +591,24 @@ class TestSpecValidation:
         bc = BoundaryData(0.0, 0.0, "a", 0.0)
         with pytest.raises(SpecValidationError, match="domain must be two finite reals"):
             ProblemSpec(domain=domain, bc_p=bc, bc_q=bc)
+
+    @pytest.mark.parametrize("domain", [(0.0, 1e-160), (1e-300, 1e-299), (-1e-155, 1e-155)])
+    def test_domain_too_short_to_scale(self, domain):
+        # a solve scales its tables by (b - a)^-2, which must not overflow
+        bc = BoundaryData(0.0, 0.0, "a", 0.0)
+        message = f"domain {domain!r} is too short: (b - a)^-2 overflows"
+        with pytest.raises(SpecValidationError, match=re.escape(message)):
+            ProblemSpec(domain=domain, bc_p=bc, bc_q=bc)
+
+    def test_shortest_scalable_domain_fails_typed_without_a_warning(self):
+        # (b - a)^-2 = 1e308 is finite, but the scaled second-derivative
+        # tables overflow, and the solve refuses the non-finite matrix
+        bc = BoundaryData(0.0, 0.0, "a", 0.0)
+        spec = ProblemSpec(domain=(0.0, 1e-154), f=gb.parse("1"), bc_p=bc, bc_q=bc)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(AssemblyError, match="non-finite matrix entry"):
+                picard_solve(spec, 5)
 
     @pytest.mark.parametrize("field, value, what", [
         ("f", "x", "forcing f"),

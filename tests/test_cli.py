@@ -15,7 +15,7 @@ import sympy as sp
 
 import galbern as gb
 from galbern import ProblemFileError, dump_problem, load_problem, load_sixth_order, preset
-from galbern.assembly import _GRID_POINTS, BoundaryData, _reference_tables, _Workspace
+from galbern.assembly import BoundaryData, _reference_tables, _Workspace
 from galbern.cli import PRESETS, error_table, format_samples, run, sample_points
 
 PROBLEMS_DIR = Path(__file__).resolve().parent.parent / "problems"
@@ -453,6 +453,19 @@ class TestRunSolve:
         assert status == 1 and captured.out == ""
         assert captured.err == "error: iterate became non-finite (after 0 iterations)\n"
 
+    def test_domain_too_short_to_scale_is_one_error_line(self, tmp_path, capsys):
+        text = (PROBLEMS_DIR / "example1.prob").read_text()
+        assert text.count("[domain]\na = 0\nb = 1\n") == 1
+        text = text.replace("[domain]\na = 0\nb = 1\n", "[domain]\na = 0\nb = 1e-160\n")
+        path = write_problem(tmp_path, text, "short.prob")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            status = run(["solve", path, "--degree", "5"])
+        captured = capsys.readouterr()
+        assert status == 1 and captured.out == ""
+        message = "error: domain (0.0, 1e-160) is too short: (b - a)^-2 overflows\n"
+        assert captured.err == message
+
     @pytest.mark.parametrize("name, degree", [("example4", 25), ("example1", 27)])
     def test_replication_past_convergence_exits_zero(self, capsys, name, degree):
         status = run(["solve", "--preset", name, "--degree", str(degree), "--fixed-iters", "30"])
@@ -495,7 +508,7 @@ class TestRunSolve:
         assert text.count("a6 = x\n") == 1
         path = write_problem(tmp_path, text.replace("a6 = x\n", "a6 = 1e20\n"), "singular.prob")
         assert run(["solve", path, "--degree", "5"]) == 1
-        message = "error: singular system: pivot 0 has magnitude 1.411e+01\n"
+        message = "error: singular system: pivot 0 has magnitude 1.674e+01\n"
         assert capsys.readouterr().err == message
 
     @pytest.mark.parametrize("flag", ["--quad-order", "--grid"])
@@ -571,8 +584,9 @@ class TestRunSolve:
         assert f"residual={res:.3e}" in capsys.readouterr().err
 
     def test_cold_solve_tabulates_each_point_set_once(self, capsys, monkeypatch):
-        # the residual check reads the solve's cache entry: one recurrence
-        # pass over nodes, ends and grid, then one over the 9 report points
+        # the residual check reads the solve's cache entry: one table build
+        # for nodes, ends and grid, then one Bernstein table for the 9
+        # report points
         sizes = []
         original = gb.BernsteinBasis.interior_table
 
@@ -583,7 +597,8 @@ class TestRunSolve:
         monkeypatch.setattr(gb.BernsteinBasis, "interior_table", counting)
         _reference_tables.cache_clear()
         assert run(["solve", "--preset", "example2", "--degree", "12"]) == 0
-        assert sizes == [gb.default_order(12) + 2 + _GRID_POINTS, 9]
+        assert sizes == [9]
+        assert _reference_tables.cache_info().misses == 1
         assert _reference_tables.cache_info().currsize == 1
 
     def test_help_states_accepted_ranges(self, capsys):
